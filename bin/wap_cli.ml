@@ -61,15 +61,6 @@ let cache_dir_arg =
 let make_cache ~no_cache ~cache_dir =
   if no_cache then None else Some (Wap_engine.Cache.create ?dir:cache_dir ())
 
-let no_fuse_arg =
-  Arg.(value & flag
-       & info [ "no-fuse" ]
-           ~doc:"Run one taint pass per detector spec instead of the fused \
-                 multi-spec pass.  Slower; the output is byte-identical — \
-                 this is the escape hatch used to differentially check the \
-                 fused analyzer (the WAP_FUSE=0 environment variable has the \
-                 same effect).")
-
 let no_ir_arg =
   Arg.(value & flag
        & info [ "no-ir" ]
@@ -114,7 +105,7 @@ let log_level_arg =
   Arg.(value & opt log_level_conv Wap_obs.Log.Info
        & info [ "log-level" ] ~docv:"LEVEL"
            ~doc:"Diagnostics verbosity on stderr: debug, info, warn, error or \
-                 quiet.  debug logs per-file/per-spec progress.")
+                 quiet.  debug logs per-file progress.")
 
 let log_format_arg =
   Arg.(value & opt log_format_conv Wap_obs.Log.Text
@@ -141,21 +132,17 @@ let setup_obs trace_out log_level log_format =
               ("events", string_of_int (Wap_obs.Trace.event_count tracer)) ]
           "wrote trace"
 
-(* Per-file/per-spec progress, logged at debug level only. *)
+(* Per-file progress, logged at debug level only. *)
 let progress_logger () =
   if not (Wap_obs.Log.enabled Wap_obs.Log.Debug) then None
   else
     Some
       (function
-      | Wap_engine.Scan.File_parsed { path; cached } ->
+      | Wap_engine.Session.File_parsed { path; cached } ->
           Wap_obs.Log.debug
             ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
             "parsed"
-      | Wap_engine.Scan.Spec_analyzed { spec; cached } ->
-          Wap_obs.Log.debug
-            ~fields:[ ("spec", spec); ("cached", string_of_bool cached) ]
-            "analyzed"
-      | Wap_engine.Scan.File_analyzed { path; cached } ->
+      | Wap_engine.Session.File_analyzed { path; cached } ->
           Wap_obs.Log.debug
             ~fields:[ ("file", path); ("cached", string_of_bool cached) ]
             "analyzed")
@@ -169,9 +156,9 @@ let stats_arg =
 (* The --stats summary: per-phase wall clock (sums to ~analysis_seconds),
    scan counters, and the per-detector breakdown — all on stderr so
    stdout stays machine-parseable. *)
-let print_scan_stats (outcome : Wap_core.Scan.outcome) =
+let print_scan_stats (outcome : Wap_core.Tool.Scan.outcome) =
   let module Tbl = Wap_report.Table in
-  let r = outcome.Wap_core.Scan.result in
+  let r = outcome.Wap_core.Tool.Scan.result in
   let total = r.Wap_core.Tool.analysis_seconds in
   let phases = r.Wap_core.Tool.phase_seconds in
   let accounted = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 phases in
@@ -206,15 +193,15 @@ let print_scan_stats (outcome : Wap_core.Scan.outcome) =
         string_of_int
           (List.fold_left
              (fun acc (_, errs) -> acc + List.length errs)
-             0 outcome.Wap_core.Scan.parse_errors) ];
-      [ "detector specs"; string_of_int (List.length outcome.Wap_core.Scan.spec_timings) ];
+             0 outcome.Wap_core.Tool.Scan.parse_errors) ];
+      [ "detector specs"; string_of_int (List.length outcome.Wap_core.Tool.Scan.spec_timings) ];
       [ "candidates"; string_of_int (List.length r.Wap_core.Tool.candidates) ];
       [ "vulnerabilities"; string_of_int (List.length r.Wap_core.Tool.reported) ];
       [ "predicted false positives";
         string_of_int (List.length r.Wap_core.Tool.predicted_fps) ];
-      [ "worker domains"; string_of_int outcome.Wap_core.Scan.jobs_used ];
-      [ "cache hits"; string_of_int outcome.Wap_core.Scan.cache_hits ];
-      [ "cache misses"; string_of_int outcome.Wap_core.Scan.cache_misses ];
+      [ "worker domains"; string_of_int outcome.Wap_core.Tool.Scan.jobs_used ];
+      [ "cache hits"; string_of_int outcome.Wap_core.Tool.Scan.cache_hits ];
+      [ "cache misses"; string_of_int outcome.Wap_core.Tool.Scan.cache_misses ];
       [ "pool queue-wait mean (ms)";
         mean_ms (hist "engine.pool.queue_wait_seconds") ];
       [ "pool task-run mean (ms)"; mean_ms (hist "engine.pool.task_run_seconds") ];
@@ -223,18 +210,17 @@ let print_scan_stats (outcome : Wap_core.Scan.outcome) =
   let t2 = Tbl.make ~title:"scan counters" ~header:[ "counter"; "value" ] counter_rows in
   let spec_rows =
     List.map
-      (fun (s : Wap_engine.Scan.spec_report) ->
+      (fun (s : Wap_engine.Session.spec_report) ->
         [
-          s.Wap_engine.Scan.sr_spec;
-          string_of_int s.Wap_engine.Scan.sr_candidates;
-          Printf.sprintf "%.4f" s.Wap_engine.Scan.sr_seconds;
-          (if s.Wap_engine.Scan.sr_cached then "yes" else "no");
+          s.Wap_engine.Session.sr_spec;
+          string_of_int s.Wap_engine.Session.sr_candidates;
+          (if s.Wap_engine.Session.sr_cached then "yes" else "no");
         ])
-      outcome.Wap_core.Scan.spec_timings
+      outcome.Wap_core.Tool.Scan.spec_timings
   in
   let t3 =
     Tbl.make ~title:"per-detector breakdown"
-      ~header:[ "detector"; "candidates"; "seconds"; "cached" ]
+      ~header:[ "detector"; "candidates"; "cached" ]
       spec_rows
   in
   (* every latency histogram in the registry, with interpolated
@@ -338,7 +324,7 @@ let analyze_cmd =
     Arg.(value & opt (some string) None
          & info [ "html" ] ~docv:"FILE" ~doc:"Also write a standalone HTML report.")
   in
-  let run files fix version weapons weapon_dir sanitizers seed verbose confirm json training_set html_out jobs no_cache cache_dir no_fuse no_ir trace_out stats log_level log_format =
+  let run files fix version weapons weapon_dir sanitizers seed verbose confirm json training_set html_out jobs no_cache cache_dir no_ir trace_out stats log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
     let weapons =
       List.map
@@ -367,25 +353,24 @@ let analyze_cmd =
     let sources = List.map (fun p -> (p, read_file p)) paths in
     let cache = make_cache ~no_cache ~cache_dir in
     let outcome =
-      Wap_core.Scan.run tool
-        (Wap_core.Scan.request ~jobs ?cache
-           ?fuse:(if no_fuse then Some false else None)
+      Wap_core.Tool.Scan.run tool
+        (Wap_core.Tool.Scan.request ~jobs ?cache
            ?ir:(if no_ir then Some false else None)
            ?on_progress:(progress_logger ()) sources)
     in
-    let result = outcome.Wap_core.Scan.result in
-    let parse_errors = outcome.Wap_core.Scan.parse_errors in
+    let result = outcome.Wap_core.Tool.Scan.result in
+    let parse_errors = outcome.Wap_core.Tool.Scan.parse_errors in
     if verbose then
       Wap_obs.Log.info
         ~fields:
-          [ ("workers", string_of_int outcome.Wap_core.Scan.jobs_used);
+          [ ("workers", string_of_int outcome.Wap_core.Tool.Scan.jobs_used);
             ( "cache",
               match (cache, cache_dir) with
               | None, _ -> "off"
               | Some _, Some dir -> "on (" ^ dir ^ ")"
               | Some _, None -> "on (memory)" );
-            ("hits", string_of_int outcome.Wap_core.Scan.cache_hits);
-            ("misses", string_of_int outcome.Wap_core.Scan.cache_misses) ]
+            ("hits", string_of_int outcome.Wap_core.Tool.Scan.cache_hits);
+            ("misses", string_of_int outcome.Wap_core.Tool.Scan.cache_misses) ]
         "scan finished";
     List.iter
       (fun (path, errs) ->
@@ -484,7 +469,7 @@ let analyze_cmd =
     Term.(ret (const run $ files $ fix $ version $ weapons $ weapon_dir
                $ sanitizers $ seed_arg $ verbose $ confirm $ json $ training_set
                $ html_out $ jobs_arg $ no_cache_arg $ cache_dir_arg
-               $ no_fuse_arg $ no_ir_arg $ trace_out_arg $ stats_arg
+               $ no_ir_arg $ trace_out_arg $ stats_arg
                $ log_level_arg $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)

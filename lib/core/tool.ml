@@ -117,41 +117,39 @@ let parse_package (pkg : Wap_corpus.Appgen.package) :
 
 (* ------------------------------------------------------------------ *)
 (* The unified Scan API: every entry point (CLI, experiments, bench,    *)
-(* the legacy wrappers below) routes through one request/outcome pair   *)
-(* executed on the parallel engine.                                     *)
+(* fuzz oracles, fleet workers) routes through one request/outcome pair *)
+(* executed on a one-shot engine session.                               *)
 
 module Scan = struct
   type request = {
     files : (string * string) list;  (** [(path, source)], one app *)
     jobs : int;  (** worker domains *)
     cache : Wap_engine.Cache.t option;
-    fuse : bool;  (** fused multi-spec analysis (default) vs per-spec *)
     ir : bool;  (** fused pass 3 over lowered IR (default) vs AST walker *)
     summary_store : bool;
         (** content-addressed cross-project summary store (fleet
-            workers); see {!Wap_engine.Scan.request} *)
-    on_progress : (Wap_engine.Scan.progress -> unit) option;
+            workers); see {!Wap_engine.Session.request} *)
+    on_progress : (Wap_engine.Session.progress -> unit) option;
     package : Wap_corpus.Appgen.package option;
         (** corpus package the files came from (ground truth, LoC);
             synthesized from [files] when absent *)
   }
 
-  let request ?jobs ?cache ?fuse ?ir ?(summary_store = false) ?on_progress
+  let request ?jobs ?cache ?ir ?(summary_store = false) ?on_progress
       ?package files =
     {
       files;
       jobs = Wap_engine.Config.jobs jobs;
       cache;
-      fuse = Wap_engine.Config.fuse fuse;
       ir = Wap_engine.Config.ir ir;
       summary_store;
       on_progress;
       package;
     }
 
-  let request_of_package ?jobs ?cache ?fuse ?ir ?summary_store ?on_progress
+  let request_of_package ?jobs ?cache ?ir ?summary_store ?on_progress
       (pkg : Wap_corpus.Appgen.package) =
-    request ?jobs ?cache ?fuse ?ir ?summary_store ?on_progress ~package:pkg
+    request ?jobs ?cache ?ir ?summary_store ?on_progress ~package:pkg
       (List.map
          (fun (f : Wap_corpus.Appgen.file) ->
            (f.Wap_corpus.Appgen.f_name, f.Wap_corpus.Appgen.f_source))
@@ -161,8 +159,8 @@ module Scan = struct
     result : package_result;
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
-    file_timings : Wap_engine.Scan.file_report list;  (** input order *)
-    spec_timings : Wap_engine.Scan.spec_report list;  (** spec order *)
+    file_timings : Wap_engine.Session.file_report list;  (** input order *)
+    spec_timings : Wap_engine.Session.spec_report list;  (** spec order *)
     jobs_used : int;
     cache_hits : int;
     cache_misses : int;
@@ -194,16 +192,16 @@ module Scan = struct
           }
     in
     let engine =
-      Wap_engine.Scan.run
-        (Wap_engine.Scan.request ~jobs:req.jobs ?cache:req.cache
-           ~fingerprint:(fingerprint t) ~fuse:req.fuse ~ir:req.ir
+      Wap_engine.Session.run
+        (Wap_engine.Session.request ~jobs:req.jobs ?cache:req.cache
+           ~fingerprint:(fingerprint t) ~ir:req.ir
            ~summary_store:req.summary_store ?on_progress:req.on_progress
            ~specs:t.specs req.files)
     in
     let t0_predict = Unix.gettimeofday () in
     let candidates, findings =
       Wap_obs.Trace.with_span ~cat:"core" "phase.predict" (fun () ->
-          let candidates = dedup_candidates engine.Wap_engine.Scan.candidates in
+          let candidates = dedup_candidates engine.Wap_engine.Session.candidates in
           let findings =
             List.map
               (fun c ->
@@ -229,7 +227,7 @@ module Scan = struct
         analysis_seconds = Unix.gettimeofday () -. t0_wall;
         analysis_cpu_seconds = Sys.time () -. t0_cpu;
         phase_seconds =
-          engine.Wap_engine.Scan.phases @ [ ("predict", t_predict) ];
+          engine.Wap_engine.Session.phases @ [ ("predict", t_predict) ];
         candidates;
         findings;
         reported = List.map (fun f -> f.candidate) reported;
@@ -240,16 +238,16 @@ module Scan = struct
       result;
       parse_errors =
         List.filter_map
-          (fun (r : Wap_engine.Scan.file_report) ->
-            match r.Wap_engine.Scan.fr_errors with
+          (fun (r : Wap_engine.Session.file_report) ->
+            match r.Wap_engine.Session.fr_errors with
             | [] -> None
-            | errs -> Some (r.Wap_engine.Scan.fr_path, errs))
-          engine.Wap_engine.Scan.file_reports;
-      file_timings = engine.Wap_engine.Scan.file_reports;
-      spec_timings = engine.Wap_engine.Scan.spec_reports;
-      jobs_used = engine.Wap_engine.Scan.jobs_used;
-      cache_hits = engine.Wap_engine.Scan.cache_hits;
-      cache_misses = engine.Wap_engine.Scan.cache_misses;
+            | errs -> Some (r.Wap_engine.Session.fr_path, errs))
+          engine.Wap_engine.Session.file_reports;
+      file_timings = engine.Wap_engine.Session.file_reports;
+      spec_timings = engine.Wap_engine.Session.spec_reports;
+      jobs_used = engine.Wap_engine.Session.jobs_used;
+      cache_hits = engine.Wap_engine.Session.cache_hits;
+      cache_misses = engine.Wap_engine.Session.cache_misses;
     }
 end
 

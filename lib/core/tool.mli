@@ -65,13 +65,12 @@ exception Parse_failure of string * string
 val parse_package :
   Wap_corpus.Appgen.package -> Wap_taint.Analyzer.file_unit list
 
-(** The unified scan API.  Every entry point — CLI, experiments and
-    bench — routes through one request/outcome pair executed on the
-    parallel engine ({!Wap_engine.Scan}, a one-shot
-    {!Wap_engine.Session}): tolerant parsing fans out over [jobs]
+(** The unified scan API.  Every entry point — CLI, experiments,
+    bench, fuzz oracles and fleet workers — routes through one
+    request/outcome pair executed on a one-shot
+    {!Wap_engine.Session.run}: tolerant parsing fans out over [jobs]
     worker domains, one fused taint pass covers all detector specs
-    (per-file fan-out in its top-level stage; [fuse:false] or
-    [WAP_FUSE=0] restores the per-spec pipeline), candidates merge
+    (per-file fan-out in its top-level stage), candidates merge
     deterministically, and an optional digest-keyed cache skips
     unchanged work.  Long-lived callers (the [wap serve] LSP daemon)
     drive {!Wap_engine.Session} directly for incremental re-analysis
@@ -81,31 +80,29 @@ module Scan : sig
     files : (string * string) list;  (** [(path, source)], one app *)
     jobs : int;  (** worker domains *)
     cache : Wap_engine.Cache.t option;
-    fuse : bool;  (** fused multi-spec analysis (default) vs per-spec *)
     ir : bool;  (** fused pass 3 over lowered IR (default) vs AST walker *)
     summary_store : bool;
         (** persist pass-1 summary deltas in the cache under
             content-addressed chained prefix keys, shared across
             projects through a common cache directory; off by default,
             enabled by the fleet workers — see
-            {!Wap_engine.Scan.request} *)
-    on_progress : (Wap_engine.Scan.progress -> unit) option;
+            {!Wap_engine.Session.request} *)
+    on_progress : (Wap_engine.Session.progress -> unit) option;
     package : Wap_corpus.Appgen.package option;
         (** corpus package the files came from (ground truth, LoC);
             synthesized from [files] when absent *)
   }
 
-  (** Build a request.  [jobs], [fuse] and [ir] resolve through
-      {!Wap_engine.Config} (environment gates [WAP_JOBS], [WAP_FUSE],
-      [WAP_IR], flag-beats-env); omitting [cache] disables caching;
+  (** Build a request.  [jobs] and [ir] resolve through
+      {!Wap_engine.Config} (environment gates [WAP_JOBS], [WAP_IR],
+      flag-beats-env); omitting [cache] disables caching;
       [summary_store] defaults to off. *)
   val request :
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
-    ?fuse:bool ->
     ?ir:bool ->
     ?summary_store:bool ->
-    ?on_progress:(Wap_engine.Scan.progress -> unit) ->
+    ?on_progress:(Wap_engine.Session.progress -> unit) ->
     ?package:Wap_corpus.Appgen.package ->
     (string * string) list ->
     request
@@ -114,10 +111,9 @@ module Scan : sig
   val request_of_package :
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
-    ?fuse:bool ->
     ?ir:bool ->
     ?summary_store:bool ->
-    ?on_progress:(Wap_engine.Scan.progress -> unit) ->
+    ?on_progress:(Wap_engine.Session.progress -> unit) ->
     Wap_corpus.Appgen.package ->
     request
 
@@ -125,8 +121,8 @@ module Scan : sig
     result : package_result;
     parse_errors : (string * Wap_php.Parser.recovered_error list) list;
         (** recovered errors of the files that needed recovery *)
-    file_timings : Wap_engine.Scan.file_report list;  (** input order *)
-    spec_timings : Wap_engine.Scan.spec_report list;  (** spec order *)
+    file_timings : Wap_engine.Session.file_report list;  (** input order *)
+    spec_timings : Wap_engine.Session.spec_report list;  (** spec order *)
     jobs_used : int;
     cache_hits : int;
     cache_misses : int;

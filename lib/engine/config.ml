@@ -9,7 +9,6 @@ let bool_gate name =
   | Some ("0" | "false" | "off") -> false
   | _ -> true
 
-let default_fuse () = bool_gate "WAP_FUSE"
 let default_ir () = bool_gate "WAP_IR"
 
 let default_jobs () =
@@ -25,7 +24,6 @@ let default_trace_out () =
   | Some "" | None -> None
   | Some path -> Some path
 
-let fuse flag = match flag with Some b -> b | None -> default_fuse ()
 let ir flag = match flag with Some b -> b | None -> default_ir ()
 let jobs flag = match flag with Some n -> max 1 n | None -> default_jobs ()
 

@@ -7,13 +7,13 @@
     file and its include-dependents only, falling back to a full
     re-analysis only when the edit changes the file's function-summary
     fingerprint under interprocedural analysis); [export] and
-    [diagnostics] finalize and merge deterministically.  {!Scan.run}
-    is a thin wrapper: open a one-shot session, export it.
+    [diagnostics] finalize and merge deterministically.  [run] is the
+    one-shot batch entry point: open a session, export it.
 
-    The batch pipeline semantics live here unchanged: fused multi-spec
-    analysis (pass 1 summaries, pass 2 function bodies, pass 3
-    parallel top-level sweep on the lowered IR) with the per-spec and
-    AST escape hatches, digest-keyed caching, deterministic merge. *)
+    The batch pipeline lives here: fused multi-spec analysis (pass 1
+    summaries, pass 2 function bodies, pass 3 parallel top-level sweep
+    on the lowered IR, or on the AST walker with [ir:false]),
+    digest-keyed caching, deterministic merge. *)
 
 open Wap_php
 module Cat = Wap_catalog.Catalog
@@ -25,17 +25,19 @@ module An = Wap_taint.Analyzer
    digest (and the IR path itself), so v2 entries must not be reused. *)
 let cache_format_version = "wap-engine-3"
 
-let m_files_parsed = lazy (Wap_obs.Metrics.counter "engine.files_parsed")
+(* Created at module initialisation, never lazily: the parse stage
+   bumps them from pool workers, and forcing one [Lazy.t] from two
+   domains at once raises [CamlinternalLazy.Undefined]. *)
+let m_files_parsed = Wap_obs.Metrics.counter "engine.files_parsed"
 
 let m_parse_recoveries =
-  lazy (Wap_obs.Metrics.counter "engine.parse_error_recoveries")
+  Wap_obs.Metrics.counter "engine.parse_error_recoveries"
 
 let m_candidates spec_label =
   Wap_obs.Metrics.counter ("engine.candidates." ^ spec_label)
 
 type progress =
   | File_parsed of { path : string; cached : bool }
-  | Spec_analyzed of { spec : string; cached : bool }
   | File_analyzed of { path : string; cached : bool }
 
 type request = {
@@ -45,7 +47,6 @@ type request = {
   cache : Cache.t option;
   fingerprint : string;
   interprocedural : bool;
-  fuse : bool;
   ir : bool;  (** fused pass 3 on the lowered IR (default) or the AST *)
   summary_store : bool;
       (** persist pass-1 summary deltas under content-addressed chained
@@ -54,11 +55,10 @@ type request = {
 }
 
 let request ?(jobs = Config.default_jobs ()) ?cache ?(fingerprint = "")
-    ?(interprocedural = true) ?fuse ?ir ?(summary_store = false) ?on_progress
+    ?(interprocedural = true) ?ir ?(summary_store = false) ?on_progress
     ~specs files =
-  let fuse = Config.fuse fuse in
   let ir = Config.ir ir in
-  { files; specs; jobs; cache; fingerprint; interprocedural; fuse; ir;
+  { files; specs; jobs; cache; fingerprint; interprocedural; ir;
     summary_store; on_progress }
 
 type file_report = {
@@ -70,7 +70,6 @@ type file_report = {
 
 type spec_report = {
   sr_spec : string;
-  sr_seconds : float;
   sr_cached : bool;
   sr_candidates : int;
 }
@@ -94,13 +93,13 @@ let spec_label (s : Cat.spec) =
   ^ Wap_catalog.Vuln_class.acronym s.Cat.vclass
 
 (* Total order of the deterministic merge: sink file, then sink
-   location, then the spec's position in the active set, then discovery
-   order inside that spec.  The location-major order is what users see;
-   the two trailing components pin down ties (e.g. RFI and LFI both
-   firing on one include) so the later de-duplication keeps the same
-   representative as a sequential spec-by-spec run. *)
-let merge_compare (si, qi, (a : Trace.candidate)) (sj, qj, (b : Trace.candidate))
-    =
+   location, then the spec's position in the active set; the sort is
+   stable, so discovery order inside one spec breaks the remaining
+   ties.  The location-major order is what users see; the trailing
+   components pin down ties (e.g. RFI and LFI both firing on one
+   include) so the later de-duplication keeps the same representative
+   as a sequential spec-by-spec run. *)
+let merge_compare (si, (a : Trace.candidate)) (sj, (b : Trace.candidate)) =
   let c = String.compare a.Trace.file b.Trace.file in
   if c <> 0 then c
   else
@@ -110,10 +109,13 @@ let merge_compare (si, qi, (a : Trace.candidate)) (sj, qj, (b : Trace.candidate)
     if c <> 0 then c
     else
       let c = compare a.Trace.sink_loc.Loc.col b.Trace.sink_loc.Loc.col in
-      if c <> 0 then c
-      else
-        let c = compare (si : int) sj in
-        if c <> 0 then c else compare (qi : int) qj
+      if c <> 0 then c else compare (si : int) sj
+
+let merge_indexed cands = List.stable_sort merge_compare cands
+
+let merge groups =
+  List.concat (List.mapi (fun si g -> List.map (fun c -> (si, c)) g) groups)
+  |> merge_indexed |> List.map snd
 
 (* [timed name f] runs [f] under a span and returns its result plus the
    wall clock it took — the per-phase breakdown surfaced by [--stats]
@@ -128,7 +130,7 @@ let timed name f =
 
 (* One file of the open project.  The expensive derived facts (summary
    fingerprint, include list, dead-sink set) are lazy: a one-shot
-   [Scan.run] never mutates the session and so never pays for them. *)
+   [run] never mutates the session and so never pays for them. *)
 type entry = {
   ent_path : string;
   mutable ent_src_digest : string;  (* hex digest of the source text *)
@@ -143,19 +145,6 @@ type entry = {
   mutable ent_pass3 : (int * Trace.candidate) list;
 }
 
-type fused_state = {
-  mutable fs_st : An.project_state option;
-      (* [None] until first needed: an all-cache-hit open never builds
-         the analyzer state at all *)
-  mutable fs_cached : bool;  (* every pass served from cache, no recompute *)
-}
-
-type per_spec_state = {
-  mutable ps_results : (int * Trace.candidate list * spec_report) list;
-}
-
-type analysis = Fused of fused_state | Per_spec of per_spec_state
-
 type event = { generation : int; progress : progress }
 
 type t = {
@@ -164,7 +153,6 @@ type t = {
   s_cache : Cache.t option;
   s_fingerprint : string;
   s_interprocedural : bool;
-  s_fuse : bool;
   s_ir : bool;
   s_summary_store : bool;
   s_on_progress : (progress -> unit) option;
@@ -173,12 +161,16 @@ type t = {
   s_misses0 : int;
   mutable s_entries : entry list;  (* project order *)
   mutable s_generation : int;
-  s_analysis : analysis;
+  mutable s_st : An.project_state option;
+      (* [None] until first needed: an all-cache-hit open never builds
+         the analyzer state at all *)
+  mutable s_cached : bool;  (* every pass served from cache, no recompute *)
   mutable s_phases : (string * float) list;  (* parse/digest/analyze of open *)
   mutable s_wall : float;  (* wall spent in open + mutations + exports *)
   mutable s_cpu : float;
-  mutable s_finalized : (int * (int * Trace.candidate) list) option;
-      (* memoized finalize, tagged with the generation it was built at *)
+  mutable s_merged : (int * (int * Trace.candidate) list) option;
+      (* memoized finalize + merge, tagged with the generation it was
+         built at *)
 }
 
 let generation t = t.s_generation
@@ -227,10 +219,9 @@ let parse_file t path src =
         Cache.memoize c ~key:k compute
     | None -> (compute (), false)
   in
-  Wap_obs.Metrics.incr (Lazy.force m_files_parsed);
+  Wap_obs.Metrics.incr m_files_parsed;
   if errs <> [] then
-    Wap_obs.Metrics.incr ~by:(List.length errs)
-      (Lazy.force m_parse_recoveries);
+    Wap_obs.Metrics.incr ~by:(List.length errs) m_parse_recoveries;
   ( program,
     { fr_path = path; fr_seconds = Unix.gettimeofday () -. t0;
       fr_cached = cached; fr_errors = errs } )
@@ -277,7 +268,7 @@ let project_digest t =
 (* [ir] is part of the digest so the IR and AST modes never share
    entries — a shared entry would mask exactly the divergences the
    [scan-ir-equiv] differential oracle exists to catch. *)
-let fuse_digest t ~project_digest =
+let analysis_digest t ~project_digest =
   Cache.key
     [ cache_format_version; project_digest; Cat.set_fingerprint t.s_specs;
       string_of_bool t.s_interprocedural; string_of_bool t.s_ir ]
@@ -286,9 +277,9 @@ let fuse_digest t ~project_digest =
    path: a request may legally repeat a path with different contents
    (merged corpora do), and path-only keys would hand the second file
    the first one's entry *)
-let file_key ~fuse_digest e =
+let file_key ~analysis_digest e =
   Cache.key
-    [ cache_format_version; "analyze-file"; fuse_digest; e.ent_path;
+    [ cache_format_version; "analyze-file"; analysis_digest; e.ent_path;
       e.ent_src_digest ]
 
 (* ------------------------------------------------------------------ *)
@@ -330,17 +321,17 @@ let summarize_entries t st =
 
 (* pass 3 per-file work item: lower once and sweep the flat
    instruction arrays (default), or walk the AST ([ir:false]).  The
-   memo key is [fuse_digest] (covers every spliced source and the spec
+   memo key is [analysis_digest] (covers every spliced source and the spec
    set) plus the file's own path AND source digest — path alone is not
    enough, see [file_key] — so rescans of an unchanged project skip
    lowering entirely. *)
-let toplevel_map t ~st ~fuse_digest ~units (es : entry array) =
+let toplevel_map t ~st ~analysis_digest ~units (es : entry array) =
   let one i =
     let e = es.(i) in
     if t.s_ir then
       Wap_ir.Exec.analyze_file_toplevel
         ~memo_key:
-          (String.concat "\x01" [ fuse_digest; e.ent_path; e.ent_src_digest ])
+          (String.concat "\x01" [ analysis_digest; e.ent_path; e.ent_src_digest ])
         st ~units e.ent_unit
     else An.analyze_file_toplevel st ~units e.ent_unit
   in
@@ -350,8 +341,8 @@ let toplevel_map t ~st ~fuse_digest ~units (es : entry array) =
    current project — needed when an all-cache-hit open skipped them.
    The replayed pass-2 candidate output is identical to the cached
    per-entry results, so it is discarded. *)
-let ensure_state t (fs : fused_state) =
-  match fs.fs_st with
+let ensure_state t =
+  match t.s_st with
   | Some st -> st
   | None ->
       let st =
@@ -361,18 +352,18 @@ let ensure_state t (fs : fused_state) =
       let units = units_of t in
       if t.s_interprocedural then summarize_entries t st;
       List.iter (fun u -> ignore (An.analyze_file_functions st u)) units;
-      fs.fs_st <- Some st;
+      t.s_st <- Some st;
       st
 
 (* Full fused recompute over the current entries: fresh state, passes
    1–3, one [File_analyzed] per file.  The fallback of every mutation
    that can change the shared summary table. *)
-let reanalyze_all t (fs : fused_state) =
-  fs.fs_cached <- false;
+let reanalyze_all t =
+  t.s_cached <- false;
   let st =
     An.project_state ~interprocedural:t.s_interprocedural ~specs:t.s_specs ()
   in
-  fs.fs_st <- Some st;
+  t.s_st <- Some st;
   let units = units_of t in
   (* passes 1 and 2 are sequential by design (summaries build up
      across files); pass 3 is pure per file and fans out *)
@@ -383,11 +374,11 @@ let reanalyze_all t (fs : fused_state) =
       List.iter
         (fun e -> e.ent_pass2 <- An.analyze_file_functions st e.ent_unit)
         t.s_entries);
-  let fd = fuse_digest t ~project_digest:(project_digest t) in
+  let fd = analysis_digest t ~project_digest:(project_digest t) in
   let arr = Array.of_list t.s_entries in
   let pass3 =
     Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
-        toplevel_map t ~st ~fuse_digest:fd ~units arr)
+        toplevel_map t ~st ~analysis_digest:fd ~units arr)
   in
   Array.iteri (fun i e -> e.ent_pass3 <- pass3.(i)) arr;
   List.iter
@@ -396,17 +387,17 @@ let reanalyze_all t (fs : fused_state) =
   paths t
 
 (* Re-run pass 3 only, for the given entries. *)
-let rerun_toplevel t (fs : fused_state) (es : entry list) =
+let rerun_toplevel t (es : entry list) =
   if es = [] then []
   else begin
-    fs.fs_cached <- false;
-    let st = ensure_state t fs in
+    t.s_cached <- false;
+    let st = ensure_state t in
     let units = units_of t in
-    let fd = fuse_digest t ~project_digest:(project_digest t) in
+    let fd = analysis_digest t ~project_digest:(project_digest t) in
     let arr = Array.of_list es in
     let res =
       Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
-          toplevel_map t ~st ~fuse_digest:fd ~units arr)
+          toplevel_map t ~st ~analysis_digest:fd ~units arr)
     in
     Array.iteri (fun i e -> e.ent_pass3 <- res.(i)) arr;
     List.iter
@@ -456,10 +447,7 @@ let dependents t ~base ~excluding =
 (* Stage runners shared by open and (full-recompute) mutations.        *)
 
 let fused_stage t ~project_digest =
-  let fs =
-    match t.s_analysis with Fused fs -> fs | Per_spec _ -> assert false
-  in
-  let fd = fuse_digest t ~project_digest in
+  let fd = analysis_digest t ~project_digest in
   (* all-or-nothing probe (every key is probed even after a miss, so
      hit/miss counts stay deterministic): assembling a partial set
      would not be cheaper — the passes are whole-project anyway *)
@@ -470,7 +458,7 @@ let fused_stage t ~project_digest =
             ((int * Trace.candidate) list * (int * Trace.candidate) list)
             option =
           match t.s_cache with
-          | Some c -> Cache.find c ~key:(file_key ~fuse_digest:fd e)
+          | Some c -> Cache.find c ~key:(file_key ~analysis_digest:fd e)
           | None -> None
         in
         (e, entry))
@@ -479,7 +467,7 @@ let fused_stage t ~project_digest =
   let all_hit =
     t.s_entries <> [] && List.for_all (fun (_, x) -> x <> None) probed
   in
-  fs.fs_cached <- all_hit;
+  t.s_cached <- all_hit;
   if all_hit then
     List.iter
       (fun (e, x) ->
@@ -492,7 +480,7 @@ let fused_stage t ~project_digest =
       An.project_state ~interprocedural:t.s_interprocedural ~specs:t.s_specs
         ()
     in
-    fs.fs_st <- Some st;
+    t.s_st <- Some st;
     let units = units_of t in
     if t.s_interprocedural then
       Obs.with_span ~cat:"engine" "fused.summaries" (fun () ->
@@ -504,14 +492,14 @@ let fused_stage t ~project_digest =
     let arr = Array.of_list t.s_entries in
     let pass3 =
       Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
-          toplevel_map t ~st ~fuse_digest:fd ~units arr)
+          toplevel_map t ~st ~analysis_digest:fd ~units arr)
     in
     Array.iteri (fun i e -> e.ent_pass3 <- pass3.(i)) arr;
     match t.s_cache with
     | Some c ->
         List.iter
           (fun e ->
-            Cache.store c ~key:(file_key ~fuse_digest:fd e)
+            Cache.store c ~key:(file_key ~analysis_digest:fd e)
               (e.ent_pass2, e.ent_pass3))
           t.s_entries
     | None -> ()
@@ -519,47 +507,6 @@ let fused_stage t ~project_digest =
   List.iter
     (fun e -> emit t (File_analyzed { path = e.ent_path; cached = all_hit }))
     t.s_entries
-
-let per_spec_stage t ~project_digest =
-  let ps =
-    match t.s_analysis with Per_spec ps -> ps | Fused _ -> assert false
-  in
-  let units = units_of t in
-  let analyze_one (idx, spec) =
-    let label = spec_label spec in
-    Obs.with_span ~cat:"engine" "analyze_spec" ~args:[ ("spec", label) ]
-    @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let compute () =
-      Wap_taint.Analyzer.analyze_project
-        ~interprocedural:t.s_interprocedural ~spec units
-    in
-    let cands, cached =
-      match t.s_cache with
-      | Some c ->
-          let k =
-            Cache.key
-              [ cache_format_version; "analyze"; project_digest;
-                Cat.show_spec spec;
-                string_of_bool t.s_interprocedural ]
-          in
-          Cache.memoize c ~key:k compute
-      | None -> (compute (), false)
-    in
-    Wap_obs.Metrics.incr ~by:(List.length cands) (m_candidates label);
-    ( idx, cands,
-      { sr_spec = label; sr_seconds = Unix.gettimeofday () -. t0;
-        sr_cached = cached; sr_candidates = List.length cands } )
-  in
-  let analyzed =
-    Pool.map ~jobs:t.s_jobs analyze_one
-      (Array.of_list (List.mapi (fun i s -> (i, s)) t.s_specs))
-  in
-  Array.iter
-    (fun (_, _, r) ->
-      emit t (Spec_analyzed { spec = r.sr_spec; cached = r.sr_cached }))
-    analyzed;
-  ps.ps_results <- Array.to_list analyzed
 
 (* ------------------------------------------------------------------ *)
 (* Open.                                                               *)
@@ -579,7 +526,6 @@ let open_project ?on_event (req : request) : t =
       s_cache = req.cache;
       s_fingerprint = req.fingerprint;
       s_interprocedural = req.interprocedural;
-      s_fuse = req.fuse;
       s_ir = req.ir;
       s_summary_store = req.summary_store;
       s_on_progress = req.on_progress;
@@ -588,13 +534,12 @@ let open_project ?on_event (req : request) : t =
       s_misses0 = (match req.cache with Some c -> Cache.misses c | None -> 0);
       s_entries = [];
       s_generation = 0;
-      s_analysis =
-        (if req.fuse then Fused { fs_st = None; fs_cached = false }
-         else Per_spec { ps_results = [] });
+      s_st = None;
+      s_cached = false;
       s_phases = [];
       s_wall = 0.;
       s_cpu = 0.;
-      s_finalized = None;
+      s_merged = None;
     }
   in
   (* ---- stage 1: tolerant parse, one work item per file ------------- *)
@@ -615,11 +560,9 @@ let open_project ?on_event (req : request) : t =
   in
   t.s_entries <- entries;
   let pdigest, t_digest = timed "phase.digest" (fun () -> project_digest t) in
-  (* ---- stage 2: fused (default) or per-spec analysis --------------- *)
+  (* ---- stage 2: fused multi-spec analysis -------------------------- *)
   let (), t_analyze =
-    timed "phase.analyze" (fun () ->
-        if t.s_fuse then fused_stage t ~project_digest:pdigest
-        else per_spec_stage t ~project_digest:pdigest)
+    timed "phase.analyze" (fun () -> fused_stage t ~project_digest:pdigest)
   in
   t.s_phases <-
     [ ("parse", t_parse); ("digest", t_digest); ("analyze", t_analyze) ];
@@ -632,12 +575,12 @@ let open_project ?on_event (req : request) : t =
 
 (* Cross-file dedup + dead-sink filter over the retained per-file pass
    results — [Analyzer.finalize] with the dead sets kept per file, so
-   an edit rebuilds one file's set, not the whole project's.  Memoized
-   per generation: repeated [diagnostics] calls between edits are
-   free. *)
-let finalized_fused t =
-  match t.s_finalized with
-  | Some (g, f) when g = t.s_generation -> f
+   an edit rebuilds one file's set, not the whole project's — then the
+   deterministic merge.  Memoized per generation: repeated
+   [diagnostics] calls between edits are free. *)
+let merged_indexed t : (int * Trace.candidate) list =
+  match t.s_merged with
+  | Some (g, m) when g = t.s_generation -> m
   | _ ->
       let pass2 = List.concat_map (fun e -> e.ent_pass2) t.s_entries in
       let pass3 = List.concat_map (fun e -> e.ent_pass3) t.s_entries in
@@ -650,32 +593,9 @@ let finalized_fused t =
           (fun d -> Wap_flow.Reach.is_dead (Lazy.force d) loc)
           (Hashtbl.find_all by_path loc.Loc.file)
       in
-      let f = An.finalize_with ~is_dead (pass2 @ pass3) in
-      t.s_finalized <- Some (t.s_generation, f);
-      f
-
-(* Candidates grouped per spec id (stable, preserving discovery
-   order).  In per-spec mode the groups are the stage results as-is —
-   like [Scan.run], not yet de-duplicated across specs. *)
-let grouped t : (int * Trace.candidate list) list =
-  match t.s_analysis with
-  | Fused _ ->
-      let f = finalized_fused t in
-      List.mapi
-        (fun si _ ->
-          ( si,
-            List.filter_map (fun (j, c) -> if j = si then Some c else None) f
-          ))
-        t.s_specs
-  | Per_spec ps ->
-      List.map (fun (si, cands, _) -> (si, cands)) ps.ps_results
-
-let merged_indexed t : (int * Trace.candidate) list =
-  grouped t
-  |> List.concat_map (fun (si, cands) ->
-         List.mapi (fun qi c -> (si, qi, c)) cands)
-  |> List.sort merge_compare
-  |> List.map (fun (si, _, c) -> (si, c))
+      let m = merge_indexed (An.finalize_with ~is_dead (pass2 @ pass3)) in
+      t.s_merged <- Some (t.s_generation, m);
+      m
 
 let all_diagnostics t = merged_indexed t
 
@@ -707,32 +627,21 @@ let diagnostics t ~path =
 
 let export t : outcome =
   let t0w = Unix.gettimeofday () and t0c = Sys.time () in
-  let (per_spec, candidates), t_merge =
+  let (spec_reports, candidates), t_merge =
     timed "phase.merge" (fun () ->
-        let groups = grouped t in
-        let per_spec =
-          match t.s_analysis with
-          | Per_spec ps -> ps.ps_results
-          | Fused fs ->
-              List.map2
-                (fun spec (si, cands) ->
-                  let label = spec_label spec in
-                  Wap_obs.Metrics.incr ~by:(List.length cands)
-                    (m_candidates label);
-                  ( si, cands,
-                    { sr_spec = label; sr_seconds = 0.;
-                      sr_cached = fs.fs_cached;
-                      sr_candidates = List.length cands } ))
-                t.s_specs groups
+        let merged = merged_indexed t in
+        let counts = Array.make (List.length t.s_specs) 0 in
+        List.iter (fun (si, _) -> counts.(si) <- counts.(si) + 1) merged;
+        let spec_reports =
+          List.mapi
+            (fun si spec ->
+              let label = spec_label spec in
+              Wap_obs.Metrics.incr ~by:counts.(si) (m_candidates label);
+              { sr_spec = label; sr_cached = t.s_cached;
+                sr_candidates = counts.(si) })
+            t.s_specs
         in
-        let candidates =
-          per_spec
-          |> List.concat_map (fun (si, cands, _) ->
-                 List.mapi (fun qi c -> (si, qi, c)) cands)
-          |> List.sort merge_compare
-          |> List.map (fun (_, _, c) -> c)
-        in
-        (per_spec, candidates))
+        (spec_reports, List.map snd merged))
   in
   t.s_wall <- t.s_wall +. (Unix.gettimeofday () -. t0w);
   t.s_cpu <- t.s_cpu +. (Sys.time () -. t0c);
@@ -740,7 +649,7 @@ let export t : outcome =
     units = units_of t;
     candidates;
     file_reports = List.map (fun e -> e.ent_report) t.s_entries;
-    spec_reports = List.map (fun (_, _, r) -> r) per_spec;
+    spec_reports;
     wall_seconds = t.s_wall;
     cpu_seconds = t.s_cpu;
     phases = t.s_phases @ [ ("merge", t_merge) ];
@@ -773,7 +682,7 @@ let mutate t name f =
   Obs.with_span ~cat:"engine" name @@ fun () ->
   let t0w = Unix.gettimeofday () and t0c = Sys.time () in
   t.s_generation <- t.s_generation + 1;
-  t.s_finalized <- None;
+  t.s_merged <- None;
   let r = f () in
   t.s_wall <- t.s_wall +. (Unix.gettimeofday () -. t0w);
   t.s_cpu <- t.s_cpu +. (Sys.time () -. t0c);
@@ -788,24 +697,16 @@ let update_file t ~path src =
           (Printf.sprintf "Session.update_file: no file %S in project" path)
   in
   mutate t "session.update_file" @@ fun () ->
-  match t.s_analysis with
-  | Per_spec _ ->
-      refresh_entry t e src;
-      per_spec_stage t ~project_digest:(project_digest t);
-      paths t
-  | Fused fs ->
-      let _, old_fp = Lazy.force e.ent_decl in
-      refresh_entry t e src;
-      let _, new_fp = Lazy.force e.ent_decl in
-      let decl_changed = not (String.equal old_fp new_fp) in
-      if decl_changed && t.s_interprocedural then reanalyze_all t fs
-      else begin
-        if decl_changed then isolated_pass2 t e;
-        let deps =
-          dependents t ~base:(Filename.basename path) ~excluding:e
-        in
-        rerun_toplevel t fs (e :: deps)
-      end
+  let _, old_fp = Lazy.force e.ent_decl in
+  refresh_entry t e src;
+  let _, new_fp = Lazy.force e.ent_decl in
+  let decl_changed = not (String.equal old_fp new_fp) in
+  if decl_changed && t.s_interprocedural then reanalyze_all t
+  else begin
+    if decl_changed then isolated_pass2 t e;
+    let deps = dependents t ~base:(Filename.basename path) ~excluding:e in
+    rerun_toplevel t (e :: deps)
+  end
 
 let add_file t ~path src =
   if mem t ~path then
@@ -815,37 +716,21 @@ let add_file t ~path src =
   let e = make_entry t path src in
   emit t (File_parsed { path; cached = e.ent_report.fr_cached });
   t.s_entries <- t.s_entries @ [ e ];
-  match t.s_analysis with
-  | Per_spec _ ->
-      per_spec_stage t ~project_digest:(project_digest t);
-      paths t
-  | Fused fs ->
-      let has_funcs, _ = Lazy.force e.ent_decl in
-      if has_funcs && t.s_interprocedural then reanalyze_all t fs
-      else begin
-        if has_funcs then isolated_pass2 t e;
-        let deps =
-          dependents t ~base:(Filename.basename path) ~excluding:e
-        in
-        rerun_toplevel t fs (e :: deps)
-      end
+  let has_funcs, _ = Lazy.force e.ent_decl in
+  if has_funcs && t.s_interprocedural then reanalyze_all t
+  else begin
+    if has_funcs then isolated_pass2 t e;
+    let deps = dependents t ~base:(Filename.basename path) ~excluding:e in
+    rerun_toplevel t (e :: deps)
+  end
 
 let remove_file t ~path =
   match find_unique t ~op:"remove_file" ~path with
   | None -> []
   | Some e ->
       mutate t "session.remove_file" @@ fun () ->
-      let deps =
-        match t.s_analysis with
-        | Fused _ -> dependents t ~base:(Filename.basename path) ~excluding:e
-        | Per_spec _ -> []
-      in
+      let deps = dependents t ~base:(Filename.basename path) ~excluding:e in
       t.s_entries <- List.filter (fun x -> x != e) t.s_entries;
-      (match t.s_analysis with
-      | Per_spec _ ->
-          per_spec_stage t ~project_digest:(project_digest t);
-          paths t
-      | Fused fs ->
-          let had_funcs, _ = Lazy.force e.ent_decl in
-          if had_funcs && t.s_interprocedural then reanalyze_all t fs
-          else rerun_toplevel t fs deps)
+      let had_funcs, _ = Lazy.force e.ent_decl in
+      if had_funcs && t.s_interprocedural then reanalyze_all t
+      else rerun_toplevel t deps

@@ -1,13 +1,13 @@
 (** The session-oriented scan engine.
 
     {!open_project} runs the batch pipeline once — parse fan-out, the
-    fused multi-spec taint analysis (or the per-spec escape hatch),
+    fused multi-spec taint analysis (one pass for every detector spec),
     digest-keyed caching — and {e retains} everything in memory: ASTs,
     per-file pass results, the analyzer state with its summary table
     and catalog lookup, per-file dead-sink sets.  {!export} finalizes
-    and merges deterministically; {!Scan.run} is exactly
-    [export (open_project req)], so a one-shot scan is byte-identical
-    to what the batch engine produced.
+    and merges deterministically; {!run} is exactly
+    [export (open_project req)], the one-shot batch scan behind
+    [Wap_core.Tool.Scan.run].
 
     {!update_file}, {!add_file} and {!remove_file} apply {e targeted}
     invalidation instead of cold cache probes:
@@ -27,7 +27,7 @@
     Every re-analyzed file emits a [File_analyzed] progress event, so
     clients (and the invalidation tests) can observe exactly how much
     work an edit caused.  After any sequence of mutations the session
-    exports byte-identically to a fresh {!Scan.run} over the same
+    exports byte-identically to a fresh {!run} over the same
     sources.
 
     Sessions are not thread-safe: drive each from one domain (the
@@ -41,12 +41,9 @@ val cache_format_version : string
 
 type progress =
   | File_parsed of { path : string; cached : bool }
-  | Spec_analyzed of { spec : string; cached : bool }
-      (** per-spec pipeline only ([fuse:false]) *)
   | File_analyzed of { path : string; cached : bool }
-      (** fused pipeline only: one per file once its analysis (or cache
-          assembly) is done — and, in a session, one per file a
-          mutation re-analyzes *)
+      (** one per file once its analysis (or cache assembly) is done —
+          and, in a session, one per file a mutation re-analyzes *)
 
 type request = {
   files : (string * string) list;  (** [(path, source)], scanned as one app *)
@@ -58,7 +55,6 @@ type request = {
           active spec set, so changing either invalidates analysis
           entries *)
   interprocedural : bool;
-  fuse : bool;  (** fused multi-spec analysis (default) vs per-spec *)
   ir : bool;
       (** fused pass 3 runs over lowered three-address IR (default)
           instead of the AST walker; both produce byte-identical merged
@@ -78,16 +74,14 @@ type request = {
           variant *)
 }
 
-(** [request ~specs files] with defaults: [jobs], [fuse] and [ir]
-    resolved through {!Config} (environment gates [WAP_JOBS],
-    [WAP_FUSE], [WAP_IR]), no cache, empty fingerprint,
-    interprocedural on. *)
+(** [request ~specs files] with defaults: [jobs] and [ir] resolved
+    through {!Config} (environment gates [WAP_JOBS], [WAP_IR]), no
+    cache, empty fingerprint, interprocedural on. *)
 val request :
   ?jobs:int ->
   ?cache:Cache.t ->
   ?fingerprint:string ->
   ?interprocedural:bool ->
-  ?fuse:bool ->
   ?ir:bool ->
   ?summary_store:bool ->
   ?on_progress:(progress -> unit) ->
@@ -104,11 +98,10 @@ type file_report = {
 
 type spec_report = {
   sr_spec : string;  (** submodule/class label *)
-  sr_seconds : float;
-      (** wall clock spent on this detector; [0.] in the fused pipeline,
-          where the specs share one pass (see [phases]) *)
-  sr_cached : bool;
+  sr_cached : bool;  (** the whole analysis was served from the cache *)
   sr_candidates : int;
+      (** candidates this detector found, before the cross-spec
+          de-duplication of [Wap_core.Tool.dedup_candidates] *)
 }
 
 type outcome = {
@@ -132,8 +125,14 @@ type outcome = {
   cache_misses : int;
 }
 
-(** Human label of a spec, e.g. ["query manipulation/SQLI"]. *)
-val spec_label : Wap_catalog.Catalog.spec -> string
+(** [merge groups] merges per-spec candidate lists — the [i]-th list
+    found by the [i]-th active spec, in discovery order — in the
+    engine's deterministic order: sink file, sink location, spec
+    position, discovery order.  {!export} orders its candidates this
+    way; tests use it to merge independent single-spec
+    [Wap_taint.Analyzer.analyze_project] runs into the reference the
+    fused analysis must reproduce. *)
+val merge : Wap_taint.Trace.candidate list list -> Wap_taint.Trace.candidate list
 
 (** An open session. *)
 type t
@@ -150,8 +149,8 @@ type event = { generation : int; progress : progress }
     generation-tagged); the open itself is generation [0]. *)
 val open_project : ?on_event:(event -> unit) -> request -> t
 
-(** [export (open_project req)] — the batch entry point {!Scan.run}
-    delegates to. *)
+(** [export (open_project req)] — the one-shot batch scan that
+    [Wap_core.Tool.Scan.run] delegates to. *)
 val run : request -> outcome
 
 (** The number of mutations applied so far ([0] right after
@@ -188,9 +187,7 @@ val remove_file : t -> path:string -> string list
     whole project in the deterministic merge order, each paired with
     the index of the spec that found it (position in {!specs}).
     Memoized per generation, so calling it repeatedly between edits is
-    free.  In per-spec mode ([fuse:false]) the candidates are the
-    stage results — not de-duplicated across specs, like
-    [Scan.run]. *)
+    free. *)
 val all_diagnostics : t -> (int * Wap_taint.Trace.candidate) list
 
 (** {!all_diagnostics} restricted to candidates whose sink file is
@@ -211,6 +208,6 @@ type stats = {
 val stats : t -> stats
 
 (** The full outcome over the current project state — byte-identical
-    to a fresh {!Scan.run} over the same sources, whatever mutations
-    led here. *)
+    to a fresh {!run} over the same sources, whatever mutations led
+    here. *)
 val export : t -> outcome

@@ -33,3 +33,18 @@ val all : t list
 
 val by_name : string -> t option
 val names : string list
+
+(** The per-spec reference of the [scan-fused-equiv] oracle: one
+    independent [Wap_taint.Analyzer.analyze_project ~spec] run per
+    spec over [units], merged in the engine's order
+    ({!Wap_engine.Session.merge}) and de-duplicated like a scan
+    ({!Wap_core.Tool.dedup_candidates}).  The fused analysis must
+    reproduce it candidate for candidate. *)
+val per_spec_reference :
+  specs:Wap_catalog.Catalog.spec list ->
+  Wap_taint.Analyzer.file_unit list ->
+  Wap_taint.Trace.candidate list
+
+(** One [Wap_taint.Trace.show_candidate] rendering per line: the
+    byte-level form the equivalence checks compare. *)
+val render_candidates : Wap_taint.Trace.candidate list -> string

@@ -6,7 +6,7 @@
     environment gate. *)
 
 module T = Wap_core.Tool
-module Scan = Wap_core.Scan
+module Scan = Wap_core.Tool.Scan
 module Cat = Wap_catalog.Catalog
 
 let seed = 2016

@@ -522,9 +522,9 @@ let test_tracing_does_not_change_results () =
   in
   let export () =
     let o =
-      Wap_core.Scan.run tool (Wap_core.Scan.request ~jobs:4 files)
+      Wap_core.Tool.Scan.run tool (Wap_core.Tool.Scan.request ~jobs:4 files)
     in
-    let r = o.Wap_core.Scan.result in
+    let r = o.Wap_core.Tool.Scan.result in
     Wap_core.Export.result_to_string
       {
         r with

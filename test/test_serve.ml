@@ -70,6 +70,36 @@ let the_publish name msgs =
       Alcotest.failf "%s: expected exactly one publishDiagnostics, got %d" name
         (List.length l)
 
+(* codeAction over the whole document; the result's actions *)
+let code_actions t id =
+  let whole_doc =
+    J.Obj
+      [
+        ( "start",
+          J.Obj [ ("line", J.Int 0); ("character", J.Int 0) ] );
+        ("end", J.Obj [ ("line", J.Int 99); ("character", J.Int 0) ]);
+      ]
+  in
+  match
+    Server.handle t
+      (req id "textDocument/codeAction"
+         (J.Obj
+            [
+              ("textDocument", J.Obj [ ("uri", J.Str uri) ]);
+              ("range", whole_doc);
+            ]))
+  with
+  | [ resp ] -> Option.get (J.to_list_opt (Option.get (J.member "result" resp)))
+  | _ -> Alcotest.fail "expected one codeAction response"
+
+let new_text_of action =
+  let edit = Option.get (J.member "edit" action) in
+  match J.member "changes" edit with
+  | Some (J.Obj [ (u, J.List [ change ]) ]) ->
+      Alcotest.(check string) "edit targets the document" uri u;
+      Option.get (Rpc.str_member "newText" change)
+  | _ -> Alcotest.fail "workspace edit shape"
+
 (* ------------------------------------------------------------------ *)
 
 let test_initialize () =
@@ -137,39 +167,10 @@ let test_code_actions_fix_the_flaw () =
   let t = server () in
   ignore (Server.handle t (req 1 "initialize" (J.Obj [])));
   ignore (Server.handle t (did_open ~text:vuln_php));
-  let whole_doc =
-    J.Obj
-      [
-        ( "start",
-          J.Obj [ ("line", J.Int 0); ("character", J.Int 0) ] );
-        ("end", J.Obj [ ("line", J.Int 99); ("character", J.Int 0) ]);
-      ]
-  in
-  let actions =
-    match
-      Server.handle t
-        (req 2 "textDocument/codeAction"
-           (J.Obj
-              [
-                ("textDocument", J.Obj [ ("uri", J.Str uri) ]);
-                ("range", whole_doc);
-              ]))
-    with
-    | [ resp ] ->
-        Option.get (J.to_list_opt (Option.get (J.member "result" resp)))
-    | _ -> Alcotest.fail "expected one codeAction response"
-  in
+  let actions = code_actions t 2 in
   (* the three fixer templates: stock fix, user sanitization, user
      validation *)
   Alcotest.(check int) "three quick fixes" 3 (List.length actions);
-  let new_text_of action =
-    let edit = Option.get (J.member "edit" action) in
-    match J.member "changes" edit with
-    | Some (J.Obj [ (u, J.List [ change ]) ]) ->
-        Alcotest.(check string) "edit targets the document" uri u;
-        Option.get (Rpc.str_member "newText" change)
-    | _ -> Alcotest.fail "workspace edit shape"
-  in
   let has sub s =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -208,6 +209,35 @@ let test_code_actions_fix_the_flaw () =
   in
   Alcotest.(check int) "stock fix silences the diagnostic" 0
     (List.length diags)
+
+let test_code_actions_xss_reflected () =
+  (* the user templates are named after the class acronym, and "XSS-R"
+     is no PHP identifier: every offered fix must still parse, and the
+     daemon must survive the request *)
+  let t = server () in
+  ignore (Server.handle t (req 1 "initialize" (J.Obj [])));
+  let diags =
+    the_publish "didOpen"
+      (Server.handle t (did_open ~text:"<?php echo $_GET[\"x\"];"))
+  in
+  Alcotest.(check (list (option string)))
+    "one XSS-R diagnostic" [ Some "XSS-R" ]
+    (List.map (Rpc.str_member "code") diags);
+  let actions = code_actions t 2 in
+  Alcotest.(check int) "three quick fixes" 3 (List.length actions);
+  List.iter
+    (fun action ->
+      let _, errors =
+        Wap_php.Parser.parse_string_tolerant ~file:"a.php" (new_text_of action)
+      in
+      Alcotest.(check int) "fixed source parses" 0 (List.length errors))
+    actions;
+  (* the daemon is still up and answering *)
+  match Server.handle t (req 3 "shutdown" J.Null) with
+  | [ resp ] ->
+      Alcotest.(check (option int)) "next request answered" (Some 3)
+        (Rpc.int_member "id" resp)
+  | _ -> Alcotest.fail "expected one shutdown response"
 
 let test_unknown_method_and_exit () =
   let t = server () in
@@ -355,6 +385,8 @@ let () =
             test_diagnostics_lifecycle;
           Alcotest.test_case "code actions fix the flaw" `Slow
             test_code_actions_fix_the_flaw;
+          Alcotest.test_case "code actions on an XSS-R finding" `Slow
+            test_code_actions_xss_reflected;
           Alcotest.test_case "unknown method / shutdown / exit" `Quick
             test_unknown_method_and_exit;
         ] );

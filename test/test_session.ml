@@ -30,17 +30,9 @@ let project () =
     ("main.php", main_php);
   ]
 
-(* The invalidation tests pin [fuse:true]: targeted per-file
-   invalidation (and its [File_analyzed] events) is a property of the
-   fused pipeline, so these assertions must not float with the
-   [WAP_FUSE] environment gate CI flips. *)
-let request ?(jobs = 1) ?(fuse = true) files =
-  S.request ~jobs ~fuse ~specs:(specs ()) files
-
-(* The equivalence tests resolve [fuse]/[ir] through {!Config} like any
-   client, so the WAP_FUSE=0 / WAP_IR=0 CI lanes exercise them in
-   per-spec and AST-walker modes too. *)
-let request_env ?(jobs = 1) files = S.request ~jobs ~specs:(specs ()) files
+(* [ir] resolves through {!Config} like any client, so the WAP_IR=0 CI
+   lane exercises these tests on the AST walker too. *)
+let request ?(jobs = 1) files = S.request ~jobs ~specs:(specs ()) files
 
 (* Record generation-tagged events; [analyzed ~gen] lists the paths
    whose (re-)analysis the given generation performed, in event
@@ -209,7 +201,7 @@ let render (o : S.outcome) : string =
 let test_export_matches_fresh_scan () =
   List.iter
     (fun jobs ->
-      let s = S.open_project (request_env ~jobs (project ())) in
+      let s = S.open_project (request ~jobs (project ())) in
       ignore
         (S.update_file s ~path:"vuln.php"
            "<?php $r = fetch($_GET['id']); echo $_POST['name']; ?>");
@@ -234,32 +226,12 @@ let test_export_matches_fresh_scan () =
         (List.map fst final_sources) (S.paths s);
       Alcotest.(check string)
         (Printf.sprintf "session export = fresh scan (jobs=%d)" jobs)
-        (render (S.run (request_env ~jobs final_sources)))
+        (render (S.run (request ~jobs final_sources)))
         (render (S.export s)))
     [ 1; 4 ]
 
-let test_per_spec_mode_mutations () =
-  (* the per-spec escape hatch has no per-file invalidation: every
-     mutation re-runs the stage, returning every path — and the export
-     still matches a fresh per-spec scan *)
-  let s = S.open_project (request ~fuse:false (project ())) in
-  let edited = "<?php $r = fetch($_GET['id2']); ?>" in
-  let reran = S.update_file s ~path:"vuln.php" edited in
-  Alcotest.(check (list string))
-    "per-spec update re-runs the whole stage"
-    (List.map fst (project ()))
-    reran;
-  let final_sources =
-    List.map
-      (fun (p, src) -> if p = "vuln.php" then (p, edited) else (p, src))
-      (project ())
-  in
-  Alcotest.(check string) "per-spec export = fresh per-spec scan"
-    (render (S.run (request ~fuse:false final_sources)))
-    (render (S.export s))
-
 let test_diagnostics_partition_export () =
-  let s = S.open_project (request_env (project ())) in
+  let s = S.open_project (request (project ())) in
   let all = S.all_diagnostics s in
   Alcotest.(check bool) "project has findings" true (List.length all > 0);
   (* per-file views partition the full view *)
@@ -314,8 +286,6 @@ let () =
         [
           Alcotest.test_case "export matches fresh scan, jobs 1/4" `Slow
             test_export_matches_fresh_scan;
-          Alcotest.test_case "per-spec mode mutations" `Quick
-            test_per_spec_mode_mutations;
           Alcotest.test_case "diagnostics partition the export" `Quick
             test_diagnostics_partition_export;
         ] );
