@@ -586,6 +586,103 @@ let run_fleet ?(check_fleet = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Cold-start kernel: fresh `wap analyze --json` processes on one-line  *)
+(* files, the fixed cost a single-file run pays.                        *)
+
+(* linear-interpolated quantile of a sorted array *)
+let quantile sorted q =
+  let n = Array.length sorted in
+  let pos = q *. float_of_int (n - 1) in
+  let i = int_of_float pos in
+  if i >= n - 1 then sorted.(n - 1)
+  else sorted.(i) +. ((pos -. float_of_int i) *. (sorted.(i + 1) -. sorted.(i)))
+
+(* the CLI is built next to this binary: _build/default/{bench,bin} *)
+let wap_cli () =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "wap_cli.exe")
+
+let run_cold_start () =
+  let runs = 11 in
+  let wap = wap_cli () in
+  print_string "== Cold start (wap analyze --json, one-line file) ==\n";
+  if not (Sys.file_exists wap) then
+    Printf.printf "%s not built; cold-start kernel skipped\n\n" wap
+  else begin
+    let time_runs ~expect src =
+      let php = Filename.temp_file "wap_cold" ".php" in
+      let out = Filename.temp_file "wap_cold" ".json" in
+      let oc = open_out_bin php in
+      output_string oc src;
+      close_out oc;
+      let run () =
+        let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+        let t0 = Unix.gettimeofday () in
+        let pid =
+          Unix.create_process wap [| wap; "analyze"; "--json"; php |]
+            Unix.stdin fd Unix.stderr
+        in
+        let _, status = Unix.waitpid [] pid in
+        let ms = 1e3 *. (Unix.gettimeofday () -. t0) in
+        Unix.close fd;
+        if status <> Unix.WEXITED 0 then failwith "cold start: wap analyze failed";
+        ms
+      in
+      (* one discarded run first: the page cache, not the tool, would
+         otherwise decide the first sample *)
+      ignore (run ());
+      let samples = Array.init runs (fun _ -> run ()) in
+      let findings =
+        let module J = Wap_report.Json in
+        match J.of_string (Wap_php.Io.read_file out) with
+        | Ok doc -> (
+            match Option.bind (J.member "findings" doc) J.to_list_opt with
+            | Some l -> List.length l
+            | None -> -1)
+        | Error _ -> -1
+      in
+      Sys.remove php;
+      Sys.remove out;
+      if findings <> expect then
+        failwith
+          (Printf.sprintf "cold start: expected %d finding(s), got %d" expect
+             findings);
+      Array.sort compare samples;
+      let median = quantile samples 0.5 in
+      let iqr = quantile samples 0.75 -. quantile samples 0.25 in
+      (median, iqr)
+    in
+    let kernels =
+      [ ("cold_start_nofinding_ms", "no finding", 0, "<?php echo \"hello\";\n");
+        ("cold_start_finding_ms", "one finding", 1, "<?php echo $_GET[\"x\"];\n") ]
+    in
+    let module J = Wap_report.Json in
+    let fields =
+      List.map
+        (fun (key, label, expect, src) ->
+          let median, iqr = time_runs ~expect src in
+          Printf.printf "%s: median %.1f ms, IQR %.1f ms (%d processes)\n"
+            label median iqr runs;
+          ( key,
+            J.Obj
+              [ ("median", J.Float median); ("iqr", J.Float iqr);
+                ("runs", J.Int runs) ] ))
+        kernels
+    in
+    (match J.of_string (Wap_php.Io.read_file "BENCH_scan.json") with
+    | Ok (J.Obj old) ->
+        let oc = open_out "BENCH_scan.json" in
+        output_string oc (J.to_string (J.Obj (old @ fields)));
+        output_char oc '\n';
+        close_out oc;
+        print_string "updated BENCH_scan.json with cold-start metrics\n"
+    | Ok _ | Error _ | (exception Sys_error _) ->
+        print_string "BENCH_scan.json not found; cold-start metrics not recorded\n");
+    print_newline ()
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks.                                          *)
 
 let sample_php =
@@ -765,11 +862,13 @@ let () =
   let check_parse = List.mem "--check-parse" args in
   if engine_only then begin
     run_scan_engine ~check_fused ~check_ir ~check_obs ~check_parse ();
-    run_fleet ~check_fleet ()
+    run_fleet ~check_fleet ();
+    run_cold_start ()
   end
   else begin
     if not bench_only then print_tables ~quick ();
     run_scan_engine ~check_fused ~check_ir ~check_obs ~check_parse ();
     run_fleet ~check_fleet ();
+    run_cold_start ();
     if not tables_only then run_bechamel ()
   end

@@ -202,9 +202,18 @@ let print_scan_stats (outcome : Wap_core.Tool.Scan.outcome) =
       [ "worker domains"; string_of_int outcome.Wap_core.Tool.Scan.jobs_used ];
       [ "cache hits"; string_of_int outcome.Wap_core.Tool.Scan.cache_hits ];
       [ "cache misses"; string_of_int outcome.Wap_core.Tool.Scan.cache_misses ];
-      [ "pool queue-wait mean (ms)";
+      (* measured from when the batch was submitted, not a per-task
+         queueing latency *)
+      [ "pool queue-wait mean from batch start (ms)";
         mean_ms (hist "engine.pool.queue_wait_seconds") ];
       [ "pool task-run mean (ms)"; mean_ms (hist "engine.pool.task_run_seconds") ];
+      [ "predictor trainings";
+        string_of_int
+          (Option.value ~default:0
+             (List.assoc_opt "mining.predictor.trainings"
+                snap.Wap_obs.Metrics.counters)) ];
+      [ "predictor train mean (ms)";
+        mean_ms (hist "mining.predictor.train_seconds") ];
     ]
   in
   let t2 = Tbl.make ~title:"scan counters" ~header:[ "counter"; "value" ] counter_rows in

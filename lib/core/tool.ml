@@ -12,6 +12,16 @@ type t = {
   weapons : Wap_weapon.Weapon.t list;
 }
 
+(** The data set [create] trains on when none is given: the copy
+    embedded at build time for the default seed, else built now. *)
+let default_dataset ~seed (version : Version.t) : Wap_mining.Dataset.t =
+  Wap_obs.Trace.with_span ~cat:"core" "training.dataset" @@ fun () ->
+  if seed = Embedded_datasets.seed then
+    Wap_mining.Dataset.of_csv
+      ~mode:(Version.attribute_mode version)
+      (Embedded_datasets.csv version)
+  else Training.dataset_for ~seed version
+
 (** Create a tool instance.
 
     [weapons] adds weapon detectors (and their dynamic symptoms);
@@ -43,12 +53,16 @@ let create ?(seed = 2016) ?(weapons = []) ?(extra_sanitizers = []) ?dataset
       (Version.predictor_config version)
       dynamic
   in
-  let dataset =
+  (* an explicit data set trains now, so a bad one fails at startup;
+     the default one is only built (and trained on) by the first
+     classification *)
+  let predictor =
     match dataset with
-    | Some d -> d
-    | None -> Training.dataset_for ~seed version
+    | Some d -> Wap_mining.Predictor.train ~seed config d
+    | None ->
+        Wap_mining.Predictor.deferred ~seed config (fun () ->
+            default_dataset ~seed version)
   in
-  let predictor = Wap_mining.Predictor.train ~seed config dataset in
   { version; specs; predictor; weapons }
 
 (* ------------------------------------------------------------------ *)
@@ -69,7 +83,8 @@ type package_result = {
   phase_seconds : (string * float) list;
       (** wall clock per pipeline phase, in order: the engine's [parse],
           [digest], [analyze], [merge] plus this layer's [predict]
-          (dedup + FP classification); sums to nearly
+          (dedup + FP classification, and the predictor's training
+          when this scan is the first to classify); sums to nearly
           [analysis_seconds] *)
   candidates : Wap_taint.Trace.candidate list;  (** de-duplicated *)
   findings : finding list;

@@ -10,8 +10,13 @@ type t = {
   weapons : Wap_weapon.Weapon.t list;
 }
 
-(** Create a tool instance; trains the false-positive predictor
-    deterministically from the seed.
+(** Create a tool instance.  The false-positive predictor is
+    deterministic in the seed.  Without [dataset] it trains on
+    {!Training.dataset_for}[ ~seed version] — parsed from
+    {!Embedded_datasets} when [seed] is the default — when the first
+    candidate is classified ({!Wap_mining.Predictor.deferred}), so a
+    scan without candidates never trains it.  A given [dataset] trains
+    now.
 
     [weapons] adds weapon detectors (and their dynamic symptoms);
     [extra_sanitizers] registers user sanitization functions — the §V-A
@@ -42,7 +47,8 @@ type package_result = {
   phase_seconds : (string * float) list;
       (** wall clock per pipeline phase, in order: the engine's [parse],
           [digest], [analyze], [merge] plus this layer's [predict]
-          (dedup + FP classification); sums to nearly
+          (dedup + FP classification, and the predictor's training
+          when this scan is the first to classify); sums to nearly
           [analysis_seconds] *)
   candidates : Wap_taint.Trace.candidate list;  (** de-duplicated *)
   findings : finding list;

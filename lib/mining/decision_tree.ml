@@ -21,23 +21,59 @@ type params = {
 
 let default_params = { max_depth = 12; min_samples = 2; feature_subset = None }
 
-let gini (instances : Dataset.instance list) =
-  let n = List.length instances in
+(* A tree grows over index slices of one instance array: a node owns
+   [idx.(lo) .. idx.(hi - 1)], and its split partitions that slice in
+   place, stably, zeros first — each child sees its instances in their
+   original order, as a list partition would give them. *)
+type work = {
+  xs : Dataset.instance array;
+  idx : int array;
+  scratch : int array;  (** holds the one branch during a partition *)
+}
+
+let gini ~n ~fp =
   if n = 0 then 0.0
   else
-    let p = float_of_int (List.length (List.filter (fun i -> i.Dataset.label) instances))
-            /. float_of_int n in
+    let p = float_of_int fp /. float_of_int n in
     2.0 *. p *. (1.0 -. p)
 
-let fp_fraction instances =
-  let n = List.length instances in
-  if n = 0 then 0.5
-  else
-    float_of_int (List.length (List.filter (fun i -> i.Dataset.label) instances))
-    /. float_of_int n
+let fp_fraction ~n ~fp = if n = 0 then 0.5 else float_of_int fp /. float_of_int n
 
-let split_on idx instances =
-  List.partition (fun (i : Dataset.instance) -> i.features.(idx) <= 0.5) instances
+let count_fp w lo hi =
+  let fp = ref 0 in
+  for k = lo to hi - 1 do
+    if w.xs.(w.idx.(k)).Dataset.label then incr fp
+  done;
+  !fp
+
+(* (instances, false positives) of the slice on the zero branch of [a] *)
+let count_zeros w a lo hi =
+  let nz = ref 0 and fz = ref 0 in
+  for k = lo to hi - 1 do
+    let inst = w.xs.(w.idx.(k)) in
+    if inst.Dataset.features.(a) <= 0.5 then begin
+      incr nz;
+      if inst.Dataset.label then incr fz
+    end
+  done;
+  (!nz, !fz)
+
+(* stable partition of the slice on [a]; returns where the one branch starts *)
+let partition w a lo hi =
+  let z = ref lo and o = ref lo in
+  for k = lo to hi - 1 do
+    let i = w.idx.(k) in
+    if w.xs.(i).Dataset.features.(a) <= 0.5 then begin
+      w.idx.(!z) <- i;
+      incr z
+    end
+    else begin
+      w.scratch.(!o) <- i;
+      incr o
+    end
+  done;
+  Array.blit w.scratch lo w.idx !z (!o - lo);
+  !z
 
 let candidate_features ~params ~rng dim =
   match params.feature_subset with
@@ -59,45 +95,49 @@ let candidate_features ~params ~rng dim =
       draw k;
       Hashtbl.fold (fun i () acc -> i :: acc) chosen []
 
-let rec build ~params ~rng depth (instances : Dataset.instance list) : node =
-  let n = List.length instances in
-  let impurity = gini instances in
+let rec build ~params ~rng w depth lo hi : node =
+  let n = hi - lo in
+  let fp = count_fp w lo hi in
+  let impurity = gini ~n ~fp in
   if depth >= params.max_depth || n < params.min_samples || impurity = 0.0 then
-    Leaf (fp_fraction instances)
+    Leaf (fp_fraction ~n ~fp)
   else
-    match instances with
-    | [] -> Leaf 0.5
-    | first :: _ ->
-        let dim = Array.length first.features in
-        let best = ref None in
-        List.iter
-          (fun idx ->
-            let zeros, ones = split_on idx instances in
-            if zeros <> [] && ones <> [] then begin
-              let nz = float_of_int (List.length zeros)
-              and no = float_of_int (List.length ones) in
-              let weighted =
-                ((nz *. gini zeros) +. (no *. gini ones)) /. float_of_int n
-              in
-              let gain = impurity -. weighted in
-              match !best with
-              | Some (g, _, _, _) when g >= gain -> ()
-              | _ -> best := Some (gain, idx, zeros, ones)
-            end)
-          (candidate_features ~params ~rng dim);
-        (match !best with
-        | None -> Leaf (fp_fraction instances)
-        | Some (_, idx, zeros, ones) ->
-            (* zero-gain splits are allowed (XOR-style interactions only
-               pay off one level deeper); max_depth bounds the tree *)
-            Split
-              ( idx,
-                build ~params ~rng (depth + 1) zeros,
-                build ~params ~rng (depth + 1) ones ))
+    let dim = Array.length w.xs.(w.idx.(lo)).Dataset.features in
+    let best = ref None in
+    List.iter
+      (fun a ->
+        let nz, fz = count_zeros w a lo hi in
+        let no = n - nz in
+        if nz > 0 && no > 0 then begin
+          let weighted =
+            ((float_of_int nz *. gini ~n:nz ~fp:fz)
+            +. (float_of_int no *. gini ~n:no ~fp:(fp - fz)))
+            /. float_of_int n
+          in
+          let gain = impurity -. weighted in
+          match !best with
+          | Some (g, _) when g >= gain -> ()
+          | _ -> best := Some (gain, a)
+        end)
+      (candidate_features ~params ~rng dim);
+    match !best with
+    | None -> Leaf (fp_fraction ~n ~fp)
+    | Some (_, a) ->
+        let mid = partition w a lo hi in
+        (* zero-gain splits are allowed (XOR-style interactions only
+           pay off one level deeper); max_depth bounds the tree.  Both
+           children draw from [rng]: the one branch grows first, the
+           order the trees were always built in. *)
+        let one = build ~params ~rng w (depth + 1) mid hi in
+        let zero = build ~params ~rng w (depth + 1) lo mid in
+        Split (a, zero, one)
 
 let train ?(params = default_params) ~seed (d : Dataset.t) : t =
   let rng = Random.State.make [| seed; 104729 |] in
-  { root = build ~params ~rng 0 d.Dataset.instances }
+  let xs = Array.of_list d.Dataset.instances in
+  let n = Array.length xs in
+  let w = { xs; idx = Array.init n Fun.id; scratch = Array.make n 0 } in
+  { root = build ~params ~rng w 0 0 n }
 
 let rec score_node node x =
   match node with

@@ -23,19 +23,39 @@ let train ?(params = default_params) (d : Dataset.t) : t =
       let w = Array.make dim 0.0 in
       let b = ref 0.0 in
       let xs = Array.of_list d.Dataset.instances in
+      (* Each instance visits only its non-zero attributes.  Sums start
+         at +0.0 and adding [w *. 0.0] (±0.0) to a sum that is never
+         -0.0 leaves it unchanged, so the weights are the same, to the
+         last bit, as a loop over every attribute. *)
+      let active =
+        Array.map
+          (fun (inst : Dataset.instance) ->
+            let x = inst.Dataset.features in
+            Array.of_list (List.filter (fun i -> x.(i) <> 0.0) (List.init dim Fun.id)))
+          xs
+      in
       for _ = 1 to params.iterations do
         let grad_w = Array.make dim 0.0 in
         let grad_b = ref 0.0 in
-        Array.iter
-          (fun (inst : Dataset.instance) ->
-            let y = if inst.label then 1.0 else 0.0 in
-            let p = Classifier.sigmoid (Classifier.dot w inst.features +. !b) in
-            let err = p -. y in
-            for i = 0 to dim - 1 do
-              grad_w.(i) <- grad_w.(i) +. (err *. inst.features.(i))
-            done;
-            grad_b := !grad_b +. err)
-          xs;
+        (* plain loops, not closures, so the float accumulators stay
+           unboxed *)
+        for k = 0 to n - 1 do
+          let inst = xs.(k) and on = active.(k) in
+          let x = inst.Dataset.features in
+          let y = if inst.Dataset.label then 1.0 else 0.0 in
+          let z = ref 0.0 in
+          for j = 0 to Array.length on - 1 do
+            let i = on.(j) in
+            z := !z +. (w.(i) *. x.(i))
+          done;
+          let p = Classifier.sigmoid (!z +. !b) in
+          let err = p -. y in
+          for j = 0 to Array.length on - 1 do
+            let i = on.(j) in
+            grad_w.(i) <- grad_w.(i) +. (err *. x.(i))
+          done;
+          grad_b := !grad_b +. err
+        done;
         let nf = float_of_int n in
         for i = 0 to dim - 1 do
           w.(i) <-

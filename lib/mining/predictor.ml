@@ -31,20 +31,65 @@ let extended_config =
 let with_dynamic_symptoms config map =
   { config with dynamic_symptoms = config.dynamic_symptoms @ map }
 
+(* Registered at startup, so [--stats] and [/metrics] show them even
+   in a process that never trains. *)
+let m_trainings = Wap_obs.Metrics.counter "mining.predictor.trainings"
+let m_train_seconds = Wap_obs.Metrics.histogram "mining.predictor.train_seconds"
+
+(* The models are a once-cell: trained at most once, by the first
+   classification when the predictor is {!deferred}.  A bare [Lazy.t]
+   will not do: forcing one from two domains at once raises
+   [CamlinternalLazy.Undefined], and [Lazy.is_val] already answers
+   [true] while another domain is still forcing.  So the trained models
+   are published through an atomic, and training runs under [lock]. *)
 type t = {
   config : config;
-  models : Classifier.model list;
+  lock : Mutex.t;
+  trainer : unit -> Classifier.model list;  (** called once, under [lock] *)
+  models : Classifier.model list option Atomic.t;
 }
 
-(** Train the ensemble on a labelled data set (must be in the same
-    attribute mode as the config). *)
-let train ?(seed = 42) (config : config) (d : Dataset.t) : t =
+let fit ~seed (config : config) (d : Dataset.t) : Classifier.model list =
   Wap_obs.Trace.with_span ~cat:"mining" "predictor.train"
     ~args:[ ("instances", string_of_int (Dataset.size d)) ]
   @@ fun () ->
   if d.Dataset.mode <> config.mode then
     invalid_arg "Predictor.train: dataset attribute mode mismatch";
-  { config; models = List.map (fun a -> a.Classifier.train ~seed d) config.algorithms }
+  let t0 = Wap_obs.Clock.now_ns () in
+  let models = List.map (fun a -> a.Classifier.train ~seed d) config.algorithms in
+  Wap_obs.Metrics.incr m_trainings;
+  Wap_obs.Metrics.observe m_train_seconds
+    (Wap_obs.Clock.ns_to_s (Wap_obs.Clock.elapsed_ns t0));
+  models
+
+(** A predictor that builds its data set and trains on the first
+    classification. *)
+let deferred ?(seed = 42) (config : config) (dataset : unit -> Dataset.t) : t =
+  {
+    config;
+    lock = Mutex.create ();
+    trainer = (fun () -> fit ~seed config (dataset ()));
+    models = Atomic.make None;
+  }
+
+let models (p : t) : Classifier.model list =
+  match Atomic.get p.models with
+  | Some models -> models
+  | None ->
+      Mutex.protect p.lock (fun () ->
+          match Atomic.get p.models with
+          | Some models -> models
+          | None ->
+              let models = p.trainer () in
+              Atomic.set p.models (Some models);
+              models)
+
+(** Train the ensemble on a labelled data set (must be in the same
+    attribute mode as the config), now. *)
+let train ?seed (config : config) (d : Dataset.t) : t =
+  let p = deferred ?seed config (fun () -> d) in
+  ignore (models p);
+  p
 
 (** Majority vote of the top-3 ensemble: is the candidate a false
     positive? *)
@@ -52,16 +97,15 @@ let is_false_positive (p : t) (c : Wap_taint.Trace.candidate) : bool =
   Wap_obs.Trace.with_span ~cat:"mining" "predictor.classify" @@ fun () ->
   let ev = Evidence.collect ~dynamic:p.config.dynamic_symptoms c in
   let x = Attributes.vector_of_evidence p.config.mode ev in
-  let votes =
-    List.length (List.filter (fun m -> Classifier.predict m x) p.models)
-  in
-  votes * 2 > List.length p.models
+  let models = models p in
+  let votes = List.length (List.filter (fun m -> Classifier.predict m x) models) in
+  votes * 2 > List.length models
 
 (** Ensemble confidence that the candidate is a false positive. *)
 let fp_score (p : t) (c : Wap_taint.Trace.candidate) : float =
   let ev = Evidence.collect ~dynamic:p.config.dynamic_symptoms c in
   let x = Attributes.vector_of_evidence p.config.mode ev in
-  match p.models with
+  match models p with
   | [] -> 0.5
   | models ->
       List.fold_left (fun acc m -> acc +. Classifier.score m x) 0.0 models

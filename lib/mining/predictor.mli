@@ -19,11 +19,23 @@ val with_dynamic_symptoms : config -> Symptom.dynamic_map -> config
 
 type t
 
-(** Train the ensemble on a labelled data set.
+(** Train the ensemble on a labelled data set, now.
 
     @raise Invalid_argument when the data set's attribute mode does not
     match the config. *)
 val train : ?seed:int -> config -> Dataset.t -> t
+
+(** [deferred config dataset] is the predictor {!train} would build
+    from [dataset ()], trained on the first {!is_false_positive} or
+    {!fp_score} call instead of now — a process that never classifies
+    never builds the data set.  Training happens once, whichever and
+    however many domains classify; the [Invalid_argument] of a mode
+    mismatch surfaces at that first call.
+
+    Every training, eager or deferred, emits a [predictor.train] trace
+    span and records into the [mining.predictor.trainings] counter and
+    the [mining.predictor.train_seconds] histogram. *)
+val deferred : ?seed:int -> config -> (unit -> Dataset.t) -> t
 
 (** Majority vote of the ensemble: is the candidate a false positive? *)
 val is_false_positive : t -> Wap_taint.Trace.candidate -> bool

@@ -206,6 +206,67 @@ let test_score_sum () =
   Alcotest.(check (option int)) "xss merged" (Some 6) (List.assoc_opt "XSS" t.A.by_group);
   Alcotest.(check (option int)) "sqli" (Some 5) (List.assoc_opt "SQLI" t.A.by_group)
 
+(* ------------------------------------------------------------------ *)
+(* The predictor trains on first use, from the embedded data sets.     *)
+
+let trainings () =
+  Wap_obs.Metrics.value (Wap_obs.Metrics.counter "mining.predictor.trainings")
+
+let test_embedded_datasets () =
+  Alcotest.(check int) "built with the default seed"
+    Wap_corpus.Corpus.default_seed Wap_core.Embedded_datasets.seed;
+  List.iter
+    (fun v ->
+      let d = Wap_core.Training.dataset_for ~seed:2016 v in
+      let csv = Wap_core.Embedded_datasets.csv v in
+      Alcotest.(check string) (V.name v ^ " CSV") (DS.to_csv d) csv;
+      let back = DS.of_csv ~mode:(V.attribute_mode v) csv in
+      let bits (i : DS.instance) = Array.map Int64.bits_of_float i.DS.features in
+      Alcotest.(check (list (pair (array int64) bool)))
+        (V.name v ^ " features round-trip exactly")
+        (List.map (fun i -> (bits i, i.DS.label)) d.DS.instances)
+        (List.map (fun i -> (bits i, i.DS.label)) back.DS.instances))
+    [ V.Wape; V.Wap_v21 ]
+
+let test_training_on_demand () =
+  let before = trainings () in
+  let tool = T.create ~seed V.Wape in
+  let scan = scan_source tool ~file:"demand.php" in
+  let r = scan "<?php echo \"hello\";\n" in
+  Alcotest.(check int) "no candidate" 0 (List.length r.T.candidates);
+  Alcotest.(check int) "creating the tool and a candidate-free scan never train" 0
+    (trainings () - before);
+  let r = scan "<?php echo $_GET[\"x\"];\n" in
+  Alcotest.(check int) "one finding" 1 (List.length r.T.reported);
+  Alcotest.(check int) "the first finding trains" 1 (trainings () - before);
+  ignore (scan "<?php echo $_GET[\"y\"];\n");
+  Alcotest.(check int) "a second scan does not retrain" 1 (trainings () - before)
+
+let test_deferred_equals_eager () =
+  let tool = Lazy.force wape in
+  let candidates =
+    List.concat_map
+      (fun (_, pkg) -> (scan_package tool pkg).T.candidates)
+      (Wap_corpus.Corpus.vulnerable_webapps ())
+  in
+  Alcotest.(check bool) "candidates to classify" true (List.length candidates > 100);
+  let config = V.predictor_config V.Wape in
+  let eager =
+    Wap_mining.Predictor.train ~seed config
+      (Wap_core.Training.dataset_for ~seed V.Wape)
+  in
+  let deferred = (T.create ~seed V.Wape).T.predictor in
+  List.iter
+    (fun c ->
+      let name = Wap_taint.Trace.summary c in
+      Alcotest.(check bool) name
+        (Wap_mining.Predictor.is_false_positive eager c)
+        (Wap_mining.Predictor.is_false_positive deferred c);
+      Alcotest.(check int64) name
+        (Int64.bits_of_float (Wap_mining.Predictor.fp_score eager c))
+        (Int64.bits_of_float (Wap_mining.Predictor.fp_score deferred c)))
+    candidates
+
 let () =
   Alcotest.run "wap_core"
     [
@@ -215,6 +276,12 @@ let () =
           Alcotest.test_case "WAPe dataset" `Slow test_wape_dataset;
           Alcotest.test_case "v2.1 dataset" `Slow test_v21_dataset;
           Alcotest.test_case "training deterministic" `Slow test_training_deterministic;
+        ] );
+      ( "deferred predictor",
+        [
+          Alcotest.test_case "embedded data sets" `Slow test_embedded_datasets;
+          Alcotest.test_case "training on demand" `Quick test_training_on_demand;
+          Alcotest.test_case "deferred = eager" `Slow test_deferred_equals_eager;
         ] );
       ( "pipeline",
         [

@@ -327,6 +327,90 @@ let test_top3_selection () =
   let top = Wap_mining.Evaluation.top3 ~seed:3 d in
   Alcotest.(check int) "three selected" 3 (List.length top)
 
+(* Golden models: the classifiers trained on the seed-2016 data sets,
+   pinned to the last bit.  Any change to the training loops must leave
+   these unchanged. *)
+
+let wape_lr_weights =
+  [| 0x1.adda2d34b752p-1; 0x0p+0; 0x0p+0; 0x1.b352c4fe110acp-1;
+     0x1.421d0cd16efcdp-1; 0x0p+0; 0x1.7e4e4452871cap+1; 0x1.5446438d184dap+0;
+     0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x1.0be44cc72220dp-1;
+     -0x1.099cf9d37ba47p+1; 0x1.0be44cc72220dp-1; 0x1.695417cb74a6p-3;
+     0x1.7ca772bee2592p+1; 0x0p+0; 0x0p+0; 0x1.dee79a9104508p+0; 0x0p+0;
+     0x1.4ba4f3fb03303p+1; 0x0p+0; 0x1.d3ee9b0b35ce3p+0; 0x0p+0;
+     0x1.08292c13a0253p+0; 0x0p+0; 0x0p+0; 0x1.844ea6fb4eb92p+1;
+     0x1.d81ebefcf1a32p-6; -0x1.91fda557cea5p-3; 0x0p+0;
+     -0x1.8ff2f23c001fbp-6; 0x0p+0; 0x0p+0; -0x1.f418af94a198dp-7;
+     -0x1.8ff2f23c001fbp-6; -0x1.91fda557cea5p-3; 0x0p+0;
+     -0x1.54662f82f94e5p-3; 0x1.760fa7f23bedfp-3; 0x1.4e85adcdb6c4dp+0;
+     -0x1.5787547dbbc14p-1; 0x0p+0; 0x0p+0; 0x0p+0; -0x1.736d464074d91p-4;
+     0x0p+0; -0x1.045cad556eaap-1; 0x1.2504ebc985a0bp-3;
+     0x1.ea06052648293p-5; -0x1.6a4c4886d3a51p-2; -0x1.4337815ddf89bp-2;
+     -0x1.bf352a790ed12p-5; -0x1.047b8635d1496p-4; -0x1.299f78a7ae9p-1;
+     -0x1.3d009aae77d08p-3; 0x0p+0; -0x1.496e680d47437p-3; 0x0p+0 |]
+
+let wape_lr_bias = -0x1.0b24709f50766p+1
+
+let v21_lr_weights =
+  [| 0x1.66c0fc3d81701p+2; -0x1.87d3ad7331ef9p+0; 0x1.8116c35a261bp+1;
+     0x0p+0; 0x0p+0; 0x1.77a45994f7ffdp+0; -0x1.da50a7f2eae52p-1;
+     0x1.8c871502626e1p-3; 0x0p+0; -0x1.6e83fe93ea38dp-6;
+     -0x1.526c056658946p-1; -0x1.1a01e6171e975p-2; 0x1.010f2ecc8ecfcp-4;
+     -0x1.1a00577671892p+0; -0x1.8ec8596c86b32p-1 |]
+
+let v21_lr_bias = -0x1.0d35ed930130dp+1
+
+(* bit patterns, so -0.0 <> 0.0 and the check is exact *)
+let bits a = Array.map Int64.bits_of_float a
+
+let test_golden_logistic () =
+  List.iter
+    (fun (which, weights, bias) ->
+      let m =
+        Wap_mining.Logistic.train (Wap_core.Training.dataset_for ~seed:2016 which)
+      in
+      Alcotest.(check (array int64)) "weights" (bits weights)
+        (bits m.Wap_mining.Logistic.weights);
+      Alcotest.(check int64) "bias" (Int64.bits_of_float bias)
+        (Int64.bits_of_float m.Wap_mining.Logistic.bias))
+    [ (Wap_core.Version.Wape, wape_lr_weights, wape_lr_bias);
+      (Wap_core.Version.Wap_v21, v21_lr_weights, v21_lr_bias) ]
+
+(* Digest of a tree's node structure: split attributes and every leaf
+   probability, printed exactly with %h. *)
+let rec serialize_node b = function
+  | Wap_mining.Decision_tree.Leaf p -> Printf.bprintf b "L%h;" p
+  | Wap_mining.Decision_tree.Split (i, zero, one) ->
+      Printf.bprintf b "S%d(" i;
+      serialize_node b zero;
+      serialize_node b one;
+      Buffer.add_char b ')'
+
+let trees_digest (trees : Wap_mining.Decision_tree.t list) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (t : Wap_mining.Decision_tree.t) ->
+      serialize_node b t.Wap_mining.Decision_tree.root;
+      Buffer.add_char b '|')
+    trees;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_trees () =
+  List.iter
+    (fun (which, forest, tree) ->
+      let d = Wap_core.Training.dataset_for ~seed:2016 which in
+      let rf = Wap_mining.Random_forest.train ~seed:2016 d in
+      Alcotest.(check string) "forest digest" forest
+        (trees_digest (Array.to_list rf.Wap_mining.Random_forest.trees));
+      Alcotest.(check string) "random tree digest" tree
+        (trees_digest [ Wap_mining.Random_tree.train ~seed:2016 d ]))
+    [ ( Wap_core.Version.Wape,
+        "b7e2d2164e54a41bb32a7ca17057bb8e",
+        "ebc10207212d95cebb43e4671032e195" );
+      ( Wap_core.Version.Wap_v21,
+        "88a1cc7bbf4e6603ee5ec9c016c555f0",
+        "d8eb6a0d0e9c92b53e217a38bb89dcf7" ) ]
+
 (* ------------------------------------------------------------------ *)
 (* Predictor.                                                          *)
 
@@ -349,6 +433,40 @@ let test_predictor_triage () =
   Alcotest.(check int) "one real" 1 (List.length reals);
   Alcotest.(check bool) "justification mentions the guard" true
     (List.mem "is_numeric" (Wap_mining.Predictor.justification p fp_cand))
+
+(* Four domains race to classify through one fresh deferred predictor:
+   none may raise, and the ensemble trains exactly once. *)
+let test_deferred_concurrent_first_use () =
+  let trainings () =
+    Wap_obs.Metrics.value (Wap_obs.Metrics.counter "mining.predictor.trainings")
+  in
+  let cands =
+    [ candidate_of "$v = $_GET['v'];\nmysql_query(\"SELECT * FROM t WHERE v = '$v'\");";
+      candidate_of
+        "$v = $_GET['v'];\nif (!is_numeric($v)) { die('x'); }\nmysql_query('SELECT * FROM t WHERE v = ' . $v);" ]
+  in
+  let p =
+    Wap_mining.Predictor.deferred ~seed:2016 Wap_mining.Predictor.extended_config
+      (fun () -> Wap_core.Training.dataset_for ~seed:2016 Wap_core.Version.Wape)
+  in
+  let before = trainings () in
+  let ready = Atomic.make 0 in
+  let classify () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    List.map
+      (fun c ->
+        (Wap_mining.Predictor.is_false_positive p c, Wap_mining.Predictor.fp_score p c))
+      cands
+  in
+  let results = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn classify)) in
+  Alcotest.(check int) "trained exactly once" 1 (trainings () - before);
+  List.iter
+    (fun r ->
+      Alcotest.(check (list (pair bool (float 0.0)))) "same verdicts" (List.hd results) r)
+    results
 
 let test_predictor_mode_mismatch () =
   let d = DS.make ~mode:At.Original [ mk_instance [ 1 ] true ] in
@@ -444,11 +562,17 @@ let () =
           Alcotest.test_case "cross-validation coverage" `Quick
             test_cross_validation_covers_all;
           Alcotest.test_case "top-3 selection" `Quick test_top3_selection;
+          Alcotest.test_case "golden logistic regression (seed 2016)" `Quick
+            test_golden_logistic;
+          Alcotest.test_case "golden forest and random tree (seed 2016)" `Quick
+            test_golden_trees;
         ] );
       ( "predictor",
         [
           Alcotest.test_case "triage" `Slow test_predictor_triage;
           Alcotest.test_case "mode mismatch" `Quick test_predictor_mode_mismatch;
+          Alcotest.test_case "deferred, 4 domains at first use" `Quick
+            test_deferred_concurrent_first_use;
         ] );
       ( "properties",
         [ qt qcheck_dedup_idempotent; qt qcheck_folds_partition; qt qcheck_metrics_bounded ] );

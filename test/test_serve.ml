@@ -361,11 +361,18 @@ let test_admin_plane () =
                = Some "textDocument/didOpen")
           p.Expo.p_samples
       in
-      match did_open_count with
+      (match did_open_count with
       | Some s ->
           Alcotest.(check (float 0.)) "one didOpen latency observed" 1.0
             s.Expo.s_value
       | None -> Alcotest.fail "didOpen latency histogram not exported");
+      (* the predictor's training telemetry is registered eagerly *)
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " exported") true
+            (List.exists (fun s -> s.Expo.s_name = name) p.Expo.p_samples))
+        [ "wap_mining_predictor_trainings_total";
+          "wap_mining_predictor_train_seconds_count" ]);
   (* /trace: a well-formed Chrome document even with no tracer installed *)
   let tr = get "/trace" in
   Alcotest.(check int) "/trace answers 200" 200 tr.Admin.code;
