@@ -61,8 +61,8 @@ let print_tables ~quick () =
 (* ------------------------------------------------------------------ *)
 (* Scan-engine kernel: parallel speedup and warm-cache rescan.         *)
 
-let run_scan_engine ?(check_fused = false) ?(check_ir = false)
-    ?(check_obs = false) ?(check_parse = false) () =
+let run_scan_engine ?(check_fused = false) ?(check_obs = false)
+    ?(check_parse = false) () =
   (* merge several packages into one large application so the scan has
      enough files and spec-tasks to spread over the workers *)
   let profiles =
@@ -119,27 +119,15 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
     Printf.printf
       "  (host reports %d core(s); speedup measured at jobs=%d, not 4)\n"
       cores par_jobs;
-  (* IR vs AST walker: the retargeted pass alone — pass 3, the per-file
-     top-level sweep — at jobs=1.  Parse, digest, summaries and merge
-     are byte-for-byte shared between the two modes, so timing the
-     whole analyze phase would gate on noise in work that cannot
-     differ.  min-of-3 per side; the IR side runs with its per-file
-     lowering memo, i.e. the steady state of repeated scans. *)
-  let keyed_units =
+  let units =
     List.map
       (fun (path, src) ->
-        ( {
-            Wap_taint.Analyzer.path;
-            program = fst (Wap_php.Parser.parse_string_tolerant ~file:path src);
-          },
-          (* path alone is ambiguous: the merged corpus repeats file
-             names across packages, so the memo key carries the source
-             digest exactly like the engine's does *)
-          String.concat "\x01"
-            [ "bench"; path; Digest.to_hex (Digest.string src) ] ))
+        {
+          Wap_taint.Analyzer.path;
+          program = fst (Wap_php.Parser.parse_string_tolerant ~file:path src);
+        })
       files
   in
-  let units = List.map fst keyed_units in
   let min_of_3 run =
     let best = ref infinity in
     for _ = 1 to 3 do
@@ -155,7 +143,7 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
      per-spec reference the equivalence tests compare against (one
      [analyze_project ~spec] run per detector).  Parsing, caching and
      merging are not timed: only the fusion differs.  min-of-3 per
-     side, like the kernels below. *)
+     side, like the parse kernel below. *)
   let specs = tool.Wap_core.Tool.specs in
   let w_fused =
     min_of_3 (fun () ->
@@ -172,30 +160,11 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
     "analysis, jobs=1 (min of 3): fused %6.3fs, per-spec reference %6.3fs \
      — fused speedup %.2fx\n"
     w_fused wns fused_speedup;
-  let st = Wap_taint.Analyzer.project_state ~specs () in
-  List.iter (Wap_taint.Analyzer.summarize_file st) units;
-  let pass3_wall one =
-    min_of_3 (fun () -> List.iter (fun ku -> ignore (one ku)) keyed_units)
-  in
-  let w_ast =
-    pass3_wall (fun (u, _) ->
-        Wap_taint.Analyzer.analyze_file_toplevel st ~units u)
-  in
-  let w_ir =
-    pass3_wall (fun (u, memo_key) ->
-        Wap_ir.Exec.analyze_file_toplevel ~memo_key st ~units u)
-  in
-  let ir_speedup = if w_ir > 0. then w_ast /. w_ir else 0. in
-  Printf.printf
-    "fused pass 3, jobs=1 (min of 3): AST walker %6.3fs, lowered IR %6.3fs \
-     (memo warm) — IR speedup %.2fx\n"
-    w_ast w_ir ir_speedup;
   (* parse kernel: the full lex+parse of the corpus, old list pipeline vs
      the buffer scanner.  The old side is the retained reference lexer
      plus the compat bridge into the buffer parser — the same
      list-then-array shape the pre-buffer parser built.  min-of-3 per
-     side, like the pass-3 kernel; same rule as above, time only the
-     phase that differs. *)
+     side; same rule as above, time only the phase that differs. *)
   let parse_wall one =
     min_of_3 (fun () ->
         List.iter (fun (path, src) -> ignore (one ~file:path src)) files)
@@ -381,9 +350,6 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
           match par_speedup with Some s -> J.Float s | None -> J.Null );
         ("per_spec_jobs1_wall_seconds", J.Float wns);
         ("fused_speedup", J.Float fused_speedup);
-        ("ast_pass3_jobs1_wall_seconds", J.Float w_ast);
-        ("ir_pass3_jobs1_wall_seconds", J.Float w_ir);
-        ("ir_speedup", J.Float ir_speedup);
         ("parse_ref_jobs1_wall_seconds", J.Float w_parse_ref);
         ("parse_jobs1_wall_seconds", J.Float w_parse);
         ("parse_speedup", J.Float parse_speedup);
@@ -419,12 +385,6 @@ let run_scan_engine ?(check_fused = false) ?(check_ir = false)
       "FAIL: fused analysis slower than the per-spec reference (speedup \
        %.2fx < 1.0)\n"
       fused_speedup;
-    exit 1
-  end;
-  if check_ir && ir_speedup < 1.0 then begin
-    Printf.eprintf
-      "FAIL: IR analyze slower than the AST walker (speedup %.2fx < 1.0)\n"
-      ir_speedup;
     exit 1
   end;
   if check_obs && obs_ratio > 1.05 then begin
@@ -856,18 +816,17 @@ let () =
   let bench_only = List.mem "--bench-only" args in
   let engine_only = List.mem "--engine-only" args in
   let check_fused = List.mem "--check-fused" args in
-  let check_ir = List.mem "--check-ir" args in
   let check_obs = List.mem "--check-obs" args in
   let check_fleet = List.mem "--check-fleet" args in
   let check_parse = List.mem "--check-parse" args in
   if engine_only then begin
-    run_scan_engine ~check_fused ~check_ir ~check_obs ~check_parse ();
+    run_scan_engine ~check_fused ~check_obs ~check_parse ();
     run_fleet ~check_fleet ();
     run_cold_start ()
   end
   else begin
     if not bench_only then print_tables ~quick ();
-    run_scan_engine ~check_fused ~check_ir ~check_obs ~check_parse ();
+    run_scan_engine ~check_fused ~check_obs ~check_parse ();
     run_fleet ~check_fleet ();
     run_cold_start ();
     if not tables_only then run_bechamel ()

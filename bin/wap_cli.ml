@@ -10,8 +10,6 @@
     - [experiments] regenerate the paper's tables and figures;
     - [train]       build and export the predictor's training data set;
     - [symptoms]    list the symptom/attribute catalog (Table I);
-    - [ir]          dump the three-address IR a PHP file lowers to
-                    (block structure, temporaries, taint annotations);
     - [fuzz]        generate random PHP programs and check the pipeline
                     against differential oracles, shrinking and saving
                     any violation as a reproducer;
@@ -60,15 +58,6 @@ let cache_dir_arg =
 
 let make_cache ~no_cache ~cache_dir =
   if no_cache then None else Some (Wap_engine.Cache.create ?dir:cache_dir ())
-
-let no_ir_arg =
-  Arg.(value & flag
-       & info [ "no-ir" ]
-           ~doc:"Run the fused taint pass as the original AST walker instead \
-                 of over the lowered three-address IR.  Slower; the output is \
-                 byte-identical — this is the differential reference the \
-                 scan-ir-equiv fuzz oracle checks against (the WAP_IR=0 \
-                 environment variable has the same effect).")
 
 (* observability flags (Wap_obs), shared by analyze / lint / experiments *)
 
@@ -333,7 +322,7 @@ let analyze_cmd =
     Arg.(value & opt (some string) None
          & info [ "html" ] ~docv:"FILE" ~doc:"Also write a standalone HTML report.")
   in
-  let run files fix version weapons weapon_dir sanitizers seed verbose confirm json training_set html_out jobs no_cache cache_dir no_ir trace_out stats log_level log_format =
+  let run files fix version weapons weapon_dir sanitizers seed verbose confirm json training_set html_out jobs no_cache cache_dir trace_out stats log_level log_format =
     let finish_obs = setup_obs trace_out log_level log_format in
     let weapons =
       List.map
@@ -364,7 +353,6 @@ let analyze_cmd =
     let outcome =
       Wap_core.Tool.Scan.run tool
         (Wap_core.Tool.Scan.request ~jobs ?cache
-           ?ir:(if no_ir then Some false else None)
            ?on_progress:(progress_logger ()) sources)
     in
     let result = outcome.Wap_core.Tool.Scan.result in
@@ -478,7 +466,7 @@ let analyze_cmd =
     Term.(ret (const run $ files $ fix $ version $ weapons $ weapon_dir
                $ sanitizers $ seed_arg $ verbose $ confirm $ json $ training_set
                $ html_out $ jobs_arg $ no_cache_arg $ cache_dir_arg
-               $ no_ir_arg $ trace_out_arg $ stats_arg
+               $ trace_out_arg $ stats_arg
                $ log_level_arg $ log_format_arg))
 
 (* ------------------------------------------------------------------ *)
@@ -952,62 +940,6 @@ let symptoms_cmd =
   in
   let doc = "List the symptom and attribute catalog (Table I)." in
   Cmd.v (Cmd.info "symptoms" ~doc) Term.(ret (const run $ const ()))
-
-(* ------------------------------------------------------------------ *)
-(* ir                                                                  *)
-
-let ir_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"FILE" ~doc:"PHP file to lower.")
-  in
-  let dump =
-    Arg.(value & flag
-         & info [ "dump" ]
-             ~doc:"Print the lowered blocks, temporaries and per-instruction \
-                   taint annotations (the default — and currently only — \
-                   mode).")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the dump as JSON instead of text.")
-  in
-  let version =
-    Arg.(value & opt version_conv Wap_core.Version.Wape
-         & info [ "tool-version" ] ~docv:"V"
-             ~doc:"Detector set whose catalog facts annotate the IR: wape or \
-                   v21.")
-  in
-  let run file _dump json version =
-    let src = read_file file in
-    let program, errs = Wap_php.Parser.parse_string_tolerant ~file src in
-    List.iter
-      (fun (e : Wap_php.Parser.recovered_error) ->
-        Wap_obs.Log.warn
-          ~fields:
-            [ ("file", file);
-              ("loc", Wap_php.Loc.to_string e.Wap_php.Parser.err_loc) ]
-          (Printf.sprintf "parse error recovered: %s" e.Wap_php.Parser.err_msg))
-      errs;
-    let specs =
-      Wap_catalog.Catalog.specs_for (Wap_core.Version.classes version)
-    in
-    let body =
-      Wap_ir.Lower.program ~specs:(Array.of_list specs)
-        ~lookup:(Wap_catalog.Catalog.Lookup.of_specs specs)
-        program
-    in
-    if json then
-      print_endline (Wap_report.Json.to_string (Wap_ir.Dump.to_json body))
-    else print_string (Wap_ir.Dump.to_string body);
-    `Ok ()
-  in
-  let doc =
-    "Dump the three-address IR a PHP file lowers to: basic-block structure, \
-     temporary numbering and the source/sink/sanitizer annotations resolved \
-     from the detector catalog at lowering time."
-  in
-  Cmd.v (Cmd.info "ir" ~doc) Term.(ret (const run $ file $ dump $ json $ version))
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1567,7 +1499,7 @@ let main =
   let info = Cmd.info "wap" ~version:"3.0-repro" ~doc in
   Cmd.group info
     [ analyze_cmd; lint_cmd; weapon_gen_cmd; corpus_gen_cmd; fleet_cmd;
-      experiments_cmd; train_cmd; symptoms_cmd; ir_cmd; fuzz_cmd; serve_cmd;
+      experiments_cmd; train_cmd; symptoms_cmd; fuzz_cmd; serve_cmd;
       top_cmd ]
 
 (* hidden fleet-worker mode: when spawned by the coordinator as

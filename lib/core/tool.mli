@@ -86,7 +86,6 @@ module Scan : sig
     files : (string * string) list;  (** [(path, source)], one app *)
     jobs : int;  (** worker domains *)
     cache : Wap_engine.Cache.t option;
-    ir : bool;  (** fused pass 3 over lowered IR (default) vs AST walker *)
     summary_store : bool;
         (** persist pass-1 summary deltas in the cache under
             content-addressed chained prefix keys, shared across
@@ -99,14 +98,12 @@ module Scan : sig
             synthesized from [files] when absent *)
   }
 
-  (** Build a request.  [jobs] and [ir] resolve through
-      {!Wap_engine.Config} (environment gates [WAP_JOBS], [WAP_IR],
-      flag-beats-env); omitting [cache] disables caching;
-      [summary_store] defaults to off. *)
+  (** Build a request.  [jobs] resolves through {!Wap_engine.Config}
+      (environment gate [WAP_JOBS], flag-beats-env); omitting [cache]
+      disables caching; [summary_store] defaults to off. *)
   val request :
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
-    ?ir:bool ->
     ?summary_store:bool ->
     ?on_progress:(Wap_engine.Session.progress -> unit) ->
     ?package:Wap_corpus.Appgen.package ->
@@ -117,7 +114,6 @@ module Scan : sig
   val request_of_package :
     ?jobs:int ->
     ?cache:Wap_engine.Cache.t ->
-    ?ir:bool ->
     ?summary_store:bool ->
     ?on_progress:(Wap_engine.Session.progress -> unit) ->
     Wap_corpus.Appgen.package ->

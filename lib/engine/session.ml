@@ -11,9 +11,8 @@
     one-shot batch entry point: open a session, export it.
 
     The batch pipeline lives here: fused multi-spec analysis (pass 1
-    summaries, pass 2 function bodies, pass 3 parallel top-level sweep
-    on the lowered IR, or on the AST walker with [ir:false]),
-    digest-keyed caching, deterministic merge. *)
+    summaries, pass 2 function bodies, pass 3 parallel top-level
+    sweep), digest-keyed caching, deterministic merge. *)
 
 open Wap_php
 module Cat = Wap_catalog.Catalog
@@ -21,9 +20,9 @@ module Trace = Wap_taint.Trace
 module Obs = Wap_obs.Trace
 module An = Wap_taint.Analyzer
 
-(* v3: the fused analyze-file entries gained the IR/AST mode in their
-   digest (and the IR path itself), so v2 entries must not be reused. *)
-let cache_format_version = "wap-engine-3"
+(* v4: the analysis digest no longer carries a pass-3 mode, so v3
+   entries (keyed with one) must not be reused. *)
+let cache_format_version = "wap-engine-4"
 
 (* Created at module initialisation, never lazily: the parse stage
    bumps them from pool workers, and forcing one [Lazy.t] from two
@@ -47,7 +46,6 @@ type request = {
   cache : Cache.t option;
   fingerprint : string;
   interprocedural : bool;
-  ir : bool;  (** fused pass 3 on the lowered IR (default) or the AST *)
   summary_store : bool;
       (** persist pass-1 summary deltas under content-addressed chained
           keys, shared across projects through the cache *)
@@ -55,11 +53,10 @@ type request = {
 }
 
 let request ?(jobs = Config.default_jobs ()) ?cache ?(fingerprint = "")
-    ?(interprocedural = true) ?ir ?(summary_store = false) ?on_progress
-    ~specs files =
-  let ir = Config.ir ir in
-  { files; specs; jobs; cache; fingerprint; interprocedural; ir;
-    summary_store; on_progress }
+    ?(interprocedural = true) ?(summary_store = false) ?on_progress ~specs
+    files =
+  { files; specs; jobs; cache; fingerprint; interprocedural; summary_store;
+    on_progress }
 
 type file_report = {
   fr_path : string;
@@ -153,7 +150,6 @@ type t = {
   s_cache : Cache.t option;
   s_fingerprint : string;
   s_interprocedural : bool;
-  s_ir : bool;
   s_summary_store : bool;
   s_on_progress : (progress -> unit) option;
   s_on_event : (event -> unit) option;
@@ -169,7 +165,7 @@ type t = {
   mutable s_wall : float;  (* wall spent in open + mutations + exports *)
   mutable s_cpu : float;
   mutable s_merged : (int * (int * Trace.candidate) list) option;
-      (* memoized finalize + merge, tagged with the generation it was
+      (* cached finalize + merge, tagged with the generation it was
          built at *)
 }
 
@@ -265,13 +261,10 @@ let project_digest t =
           t.s_entries
        |> List.sort String.compare))
 
-(* [ir] is part of the digest so the IR and AST modes never share
-   entries — a shared entry would mask exactly the divergences the
-   [scan-ir-equiv] differential oracle exists to catch. *)
 let analysis_digest t ~project_digest =
   Cache.key
     [ cache_format_version; project_digest; Cat.set_fingerprint t.s_specs;
-      string_of_bool t.s_interprocedural; string_of_bool t.s_ir ]
+      string_of_bool t.s_interprocedural ]
 
 (* per-file keys carry the file's own source digest, not just its
    path: a request may legally repeat a path with different contents
@@ -319,23 +312,11 @@ let summarize_entries t st =
 (* ------------------------------------------------------------------ *)
 (* Fused pass runners.                                                 *)
 
-(* pass 3 per-file work item: lower once and sweep the flat
-   instruction arrays (default), or walk the AST ([ir:false]).  The
-   memo key is [analysis_digest] (covers every spliced source and the spec
-   set) plus the file's own path AND source digest — path alone is not
-   enough, see [file_key] — so rescans of an unchanged project skip
-   lowering entirely. *)
-let toplevel_map t ~st ~analysis_digest ~units (es : entry array) =
-  let one i =
-    let e = es.(i) in
-    if t.s_ir then
-      Wap_ir.Exec.analyze_file_toplevel
-        ~memo_key:
-          (String.concat "\x01" [ analysis_digest; e.ent_path; e.ent_src_digest ])
-        st ~units e.ent_unit
-    else An.analyze_file_toplevel st ~units e.ent_unit
-  in
-  Pool.map ~jobs:t.s_jobs one (Array.init (Array.length es) Fun.id)
+(* pass 3: one top-level sweep per file, fanned out over the pool *)
+let toplevel_map t ~st ~units (es : entry array) =
+  Pool.map ~jobs:t.s_jobs
+    (fun e -> An.analyze_file_toplevel st ~units e.ent_unit)
+    es
 
 (* Rebuild the analyzer state by replaying passes 1 and 2 over the
    current project — needed when an all-cache-hit open skipped them.
@@ -374,11 +355,10 @@ let reanalyze_all t =
       List.iter
         (fun e -> e.ent_pass2 <- An.analyze_file_functions st e.ent_unit)
         t.s_entries);
-  let fd = analysis_digest t ~project_digest:(project_digest t) in
   let arr = Array.of_list t.s_entries in
   let pass3 =
     Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
-        toplevel_map t ~st ~analysis_digest:fd ~units arr)
+        toplevel_map t ~st ~units arr)
   in
   Array.iteri (fun i e -> e.ent_pass3 <- pass3.(i)) arr;
   List.iter
@@ -393,11 +373,10 @@ let rerun_toplevel t (es : entry list) =
     t.s_cached <- false;
     let st = ensure_state t in
     let units = units_of t in
-    let fd = analysis_digest t ~project_digest:(project_digest t) in
     let arr = Array.of_list es in
     let res =
       Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
-          toplevel_map t ~st ~analysis_digest:fd ~units arr)
+          toplevel_map t ~st ~units arr)
     in
     Array.iteri (fun i e -> e.ent_pass3 <- res.(i)) arr;
     List.iter
@@ -492,7 +471,7 @@ let fused_stage t ~project_digest =
     let arr = Array.of_list t.s_entries in
     let pass3 =
       Obs.with_span ~cat:"engine" "fused.toplevel" (fun () ->
-          toplevel_map t ~st ~analysis_digest:fd ~units arr)
+          toplevel_map t ~st ~units arr)
     in
     Array.iteri (fun i e -> e.ent_pass3 <- pass3.(i)) arr;
     match t.s_cache with
@@ -526,7 +505,6 @@ let open_project ?on_event (req : request) : t =
       s_cache = req.cache;
       s_fingerprint = req.fingerprint;
       s_interprocedural = req.interprocedural;
-      s_ir = req.ir;
       s_summary_store = req.summary_store;
       s_on_progress = req.on_progress;
       s_on_event = on_event;
@@ -608,7 +586,7 @@ type stats = {
 }
 
 (* Cheap between edits: the candidate count reads the per-generation
-   memoized finalize, and the cache deltas are two counter reads. *)
+   cached finalize, and the cache deltas are two counter reads. *)
 let stats t : stats =
   {
     st_generation = t.s_generation;

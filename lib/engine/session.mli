@@ -55,10 +55,6 @@ type request = {
           active spec set, so changing either invalidates analysis
           entries *)
   interprocedural : bool;
-  ir : bool;
-      (** fused pass 3 runs over lowered three-address IR (default)
-          instead of the AST walker; both produce byte-identical merged
-          output, which is what the [scan-ir-equiv] fuzz oracle checks *)
   summary_store : bool;
       (** persist pass-1 summary deltas in the cache under
           content-addressed {e chained} keys — the key of file [i] is
@@ -74,15 +70,14 @@ type request = {
           variant *)
 }
 
-(** [request ~specs files] with defaults: [jobs] and [ir] resolved
-    through {!Config} (environment gates [WAP_JOBS], [WAP_IR]), no
-    cache, empty fingerprint, interprocedural on. *)
+(** [request ~specs files] with defaults: [jobs] resolved through
+    {!Config} (environment gate [WAP_JOBS]), no cache, empty
+    fingerprint, interprocedural on. *)
 val request :
   ?jobs:int ->
   ?cache:Cache.t ->
   ?fingerprint:string ->
   ?interprocedural:bool ->
-  ?ir:bool ->
   ?summary_store:bool ->
   ?on_progress:(progress -> unit) ->
   specs:Wap_catalog.Catalog.spec list ->
@@ -196,7 +191,7 @@ val diagnostics : t -> path:string -> (int * Wap_taint.Trace.candidate) list
 
 (** Cheap live counters for monitoring surfaces ([wap serve]'s
     [/status]): unlike {!export}, reading them does no merge work
-    beyond the per-generation memoized finalize. *)
+    beyond the per-generation cached finalize. *)
 type stats = {
   st_generation : int;
   st_files : int;  (** files currently in the project *)

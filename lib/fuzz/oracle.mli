@@ -45,6 +45,18 @@ val per_spec_reference :
   Wap_taint.Analyzer.file_unit list ->
   Wap_taint.Trace.candidate list
 
+(** The IR reference of the [scan-ir-equiv] oracle: passes 1–2
+    through {!Wap_taint.Analyzer}, pass 3 through
+    {!Wap_ir.Exec.analyze_file_toplevel}, then
+    {!Wap_taint.Analyzer.finalize} — the same decomposition the
+    benchmark's traced replay runs.  It must reproduce
+    [Wap_taint.Analyzer.analyze_project_indexed ~specs units]
+    candidate for candidate. *)
+val ir_reference :
+  specs:Wap_catalog.Catalog.spec list ->
+  Wap_taint.Analyzer.file_unit list ->
+  (int * Wap_taint.Trace.candidate) list
+
 (** One [Wap_taint.Trace.show_candidate] rendering per line: the
     byte-level form the equivalence checks compare. *)
 val render_candidates : Wap_taint.Trace.candidate list -> string

@@ -513,24 +513,14 @@ let run ~specs ~summaries ~file (body : Ir.body) :
   ignore (exec_block ctx Env.empty body.Ir.entry);
   List.rev ctx.candidates
 
-let analyze_file_toplevel ?memo_key (st : A.project_state)
-    ~(units : A.file_unit list) (u : A.file_unit) :
-    (int * Trace.candidate) list =
-  Wap_obs.Trace.with_span ~cat:"taint" "analyze_toplevel_ir"
-    ~args:[ ("file", u.A.path) ]
-  @@ fun () ->
-  let lower () =
-    let program =
-      A.splice_includes ~units ~depth:0 ~visited:[ u.A.path ] u.A.program
-    in
-    Wap_obs.Trace.with_span ~cat:"taint" "lower_file" (fun () ->
-        Lower.program ~specs:(A.state_specs st) ~lookup:(A.state_lookup st)
-          program)
+let analyze_file_toplevel (st : A.project_state) ~(units : A.file_unit list)
+    (u : A.file_unit) : (int * Trace.candidate) list =
+  let program =
+    A.splice_includes ~units ~depth:0 ~visited:[ u.A.path ] u.A.program
   in
   let body =
-    match memo_key with
-    | Some key -> Lower.memoized ~key lower
-    | None -> lower ()
+    Lower.program ~specs:(A.state_specs st) ~lookup:(A.state_lookup st)
+      program
   in
   run ~specs:(A.state_specs st) ~summaries:(A.state_summaries st)
     ~file:u.A.path body

@@ -5,7 +5,11 @@
     origin vectors over a persistent variable map — and the transfer
     function is a per-opcode match over {!Ir.instr}.  Results are
     byte-identical to {!Wap_taint.Analyzer.analyze_file_toplevel}
-    (enforced by the [scan-ir-equiv] oracle and the corpus tests). *)
+    (enforced by the [scan-ir-equiv] oracle and the corpus tests).
+
+    The engine itself runs the AST walker; this executor is kept as a
+    differential reference for tests and the fuzz oracle, and for the
+    benchmark's traced per-layer replay. *)
 
 open Wap_taint
 
@@ -19,14 +23,11 @@ val run :
   Ir.body ->
   (int * Trace.candidate) list
 
-(** Drop-in IR replacement for the AST walker's pass-3 step: splice
+(** The IR counterpart of the AST walker's pass-3 step: splice
     includes, lower, execute.  Pure with respect to the state (fresh
     executor context, read-only summaries), so files may run
-    concurrently.  [memo_key], when given, caches the lowered body in
-    {!Lower.memoized}'s process-wide table — it must cover the spliced
-    sources and the spec set (the engine passes its project digest). *)
+    concurrently. *)
 val analyze_file_toplevel :
-  ?memo_key:string ->
   Analyzer.project_state ->
   units:Analyzer.file_unit list ->
   Analyzer.file_unit ->

@@ -538,32 +538,3 @@ let program ~specs ~lookup (prog : Ast.program) : Ir.body =
   in
   let entry = lower_stmts_block st prog in
   { Ir.blocks = Blocks.freeze st.arena; entry; ntemps = st.ntemps }
-
-(* ------------------------------------------------------------------ *)
-(* Process-wide memo.  A file's lowered body is a pure function of its
-   spliced source and the spec set, so repeated scans of unchanged
-   inputs (warm rescans, the experiment harness, a long-lived process)
-   skip lowering entirely.  Callers supply the key — the engine derives
-   it from its project digest, which covers every spliced file and the
-   active specs.  Domain-safe: pass 3 fans files out over domains. *)
-
-let memo : (string, Ir.body) Hashtbl.t = Hashtbl.create 256
-let memo_mutex = Mutex.create ()
-
-(* hard cap so a daemon scanning many distinct projects cannot grow the
-   table without bound; reset is simpler than LRU and the rebuild cost
-   after a flush is one lowering per live file *)
-let memo_cap = 4096
-
-let memoized ~key (build : unit -> Ir.body) : Ir.body =
-  let hit =
-    Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt memo key)
-  in
-  match hit with
-  | Some body -> body
-  | None ->
-      let body = build () in
-      Mutex.protect memo_mutex (fun () ->
-          if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
-          Hashtbl.replace memo key body);
-      body

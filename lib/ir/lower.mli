@@ -15,10 +15,3 @@ val program :
   lookup:Wap_catalog.Catalog.Lookup.t ->
   Ast.program ->
   Ir.body
-
-(** [memoized ~key build] returns the body cached under [key], calling
-    [build] on the first request.  The table is process-wide,
-    domain-safe, and capped (flushed wholesale when full).  [key] must
-    cover everything the body depends on: the spliced sources and the
-    active spec set — the engine uses its project digest. *)
-val memoized : key:string -> (unit -> Ir.body) -> Ir.body

@@ -1,8 +1,8 @@
 (** The pre-buffer list-building lexer, kept verbatim as the
-    differential reference for the zero-allocation scanner in {!Lexer}
-    — exactly like the AST walker behind [--no-ir].  The [tokenize-equiv] fuzz oracle and the
-    seed-replay tests compare its [(Token.t * Loc.t) list] against
-    {!Lexer.tokenize}'s, token-for-token and loc-for-loc.
+    differential reference for the zero-allocation scanner in {!Lexer}.
+    The [tokenize-equiv] fuzz oracle and the seed-replay tests compare
+    its [(Token.t * Loc.t) list] against {!Lexer.tokenize}'s,
+    token-for-token and loc-for-loc.
 
     It raises {!Lexer.Error} (not its own exception) so callers and
     oracles observe the two paths through one exception type.

@@ -22,9 +22,10 @@ val is_guard_fn : string -> bool
 
     The pure, syntactic helpers of the AST walker, exported so the IR
     lowering ({!Wap_ir}) resolves the very same renderings, guard keys
-    and structural facts at lowering time.  A private copy in the IR
-    would be a drift hazard for the byte-identity contract between the
-    two analysis paths ([--no-ir] differential testing). *)
+    and structural facts at lowering time.  The engine runs only the
+    walker; the IR is a test and benchmark-replay reference whose
+    candidates must match the walker's exactly ([scan-ir-equiv]), and a
+    private copy in the IR would be a drift hazard for that contract. *)
 
 (** Case normalization applied to every function/method name before a
     catalog or summary lookup. *)
@@ -132,8 +133,8 @@ val analyze_file_toplevel :
 
 (** {2 Read-only views of a project state}
 
-    Used by the IR path ({!Wap_ir}) to drive its own pass-3 replay from
-    the same specs, catalog lookup and summary table. *)
+    Used by the IR reference ({!Wap_ir}) to drive its own pass-3 replay
+    from the same specs, catalog lookup and summary table. *)
 
 val state_specs : project_state -> Wap_catalog.Catalog.spec array
 val state_lookup : project_state -> Wap_catalog.Catalog.Lookup.t

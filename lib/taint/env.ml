@@ -42,7 +42,7 @@ let map_origins f (t : taint) : taint =
       (id, r) :: go o r tl
 
 (* Merge two sorted-by-id vectors with one function per case; [both] is
-   memoized on physical equality of its operand pair, for the same
+   cached on physical equality of its operand pair, for the same
    shared-origin reason as {!map_origins}. *)
 let combine ~both a b : taint =
   let prev = ref None in

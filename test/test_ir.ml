@@ -1,35 +1,32 @@
-(** The three-address IR path (Wap_ir): lowering + execution must be
-    byte-identical to the AST walker on every input — committed fuzz
+(** The three-address IR (Wap_ir): pass 3 over lowered IR must find
+    exactly what the AST walker finds, on every input — committed fuzz
     seeds, the synthetic corpus, and edge constructs picked to stress
     the lowering (operator associativity, interpolation, literal
-    bounds).  Plus the [wap ir --dump] renderings and the WAP_IR
-    environment gate. *)
+    bounds).  The engine runs the walker; the IR reference is
+    {!Wap_fuzz.Oracle.ir_reference}, the decomposition the benchmark's
+    traced replay runs. *)
 
-module T = Wap_core.Tool
-module Scan = Wap_core.Tool.Scan
-module Cat = Wap_catalog.Catalog
+module An = Wap_taint.Analyzer
+module Oracle = Wap_fuzz.Oracle
 
 let seed = 2016
-let wape = lazy (T.create ~seed Wap_core.Version.Wape)
 
-let zero_timings (r : T.package_result) =
-  {
-    r with
-    T.analysis_seconds = 0.0;
-    analysis_cpu_seconds = 0.0;
-    phase_seconds = List.map (fun (k, _) -> (k, 0.0)) r.phase_seconds;
-  }
-
-(* Canonical export of one scan: timings zeroed so the comparison is
-   about candidates, flows and predictions only. *)
-let export ~ir files =
-  let o = Scan.run (Lazy.force wape) (Scan.request ~jobs:1 ~ir files) in
-  Wap_core.Export.result_to_string (zero_timings o.Scan.result)
+let specs =
+  Wap_catalog.Catalog.specs_for (Wap_core.Version.classes Wap_core.Version.Wape)
 
 let check_equiv name files =
+  let units =
+    List.map
+      (fun (path, src) ->
+        let program, _ = Wap_php.Parser.parse_string_tolerant ~file:path src in
+        { An.path; program })
+      files
+  in
+  let render cs = Oracle.render_candidates (List.map snd cs) in
   Alcotest.(check string)
-    (name ^ ": IR export = AST-walker export")
-    (export ~ir:false files) (export ~ir:true files)
+    (name ^ ": IR pass 3 = AST-walker pass 3")
+    (render (An.analyze_project_indexed ~specs units))
+    (render (Oracle.ir_reference ~specs units))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -69,10 +66,10 @@ let test_corpus_equiv () =
     (List.filteri (fun i _ -> i < 3) Wap_corpus.Profiles.vulnerable_webapps)
 
 let test_merged_packages_equiv () =
-  (* one request spanning several generated packages; the profile list
+  (* one project spanning several generated packages; the profile list
      repeats package names, so the merged file list contains duplicate
-     paths with different contents — a regression test for the lowering
-     memo, which must key on content, not path *)
+     paths with different contents, which include splicing and the
+     cross-file de-duplication must tell apart the same way *)
   let files =
     List.concat_map
       (fun profile ->
@@ -89,9 +86,7 @@ let test_merged_packages_equiv () =
   Alcotest.(check bool)
     "the merged corpus really repeats paths" true
     (List.length (List.sort_uniq String.compare paths) < List.length paths);
-  check_equiv "merged 4-package app" files;
-  (* a second scan in the same process answers from the lowering memo *)
-  check_equiv "merged 4-package app, memo warm" files
+  check_equiv "merged 4-package app" files
 
 (* ------------------------------------------------------------------ *)
 (* Edge constructs: associativity, nesting and literal bounds the
@@ -125,74 +120,6 @@ let test_edge_constructs () =
     edge_programs
 
 (* ------------------------------------------------------------------ *)
-(* The dump renderings.                                                *)
-
-let lower_source src =
-  let program, _errs =
-    Wap_php.Parser.parse_string_tolerant ~file:"dump.php" src
-  in
-  let specs =
-    Cat.specs_for (Wap_core.Version.classes Wap_core.Version.Wape)
-  in
-  Wap_ir.Lower.program ~specs:(Array.of_list specs)
-    ~lookup:(Cat.Lookup.of_specs specs) program
-
-let test_dump_text () =
-  let body =
-    lower_source "<?php $c = $_GET['cmd']; if ($c) { echo $c; } ?>"
-  in
-  let s = Wap_ir.Dump.to_string body in
-  let contains needle =
-    let n = String.length needle and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "names the entry block" true (contains "b0");
-  Alcotest.(check bool) "numbers temporaries" true (contains "t0");
-  Alcotest.(check bool) "annotates the echo sink" true (contains "sink echo");
-  Alcotest.(check bool)
-    "annotates the superglobal source" true (contains "source")
-
-let test_dump_json () =
-  let body = lower_source "<?php echo $_GET['x'] . 'y'; ?>" in
-  let s = Wap_report.Json.to_string (Wap_ir.Dump.to_json body) in
-  match Wap_report.Json.of_string s with
-  | Error m -> Alcotest.failf "dump JSON does not re-parse: %s" m
-  | Ok j -> (
-      match Wap_report.Json.member "blocks" j with
-      | Some (Wap_report.Json.List (_ :: _)) -> ()
-      | _ -> Alcotest.fail "dump JSON has no blocks array")
-
-(* ------------------------------------------------------------------ *)
-(* The WAP_IR environment gate.                                        *)
-
-let test_default_ir_env () =
-  let original = Sys.getenv_opt "WAP_IR" in
-  let set v = Unix.putenv "WAP_IR" v in
-  set "0";
-  Alcotest.(check bool) "WAP_IR=0 disables" false (Wap_engine.Config.default_ir ());
-  set "false";
-  Alcotest.(check bool) "WAP_IR=false disables" false
-    (Wap_engine.Config.default_ir ());
-  set "off";
-  Alcotest.(check bool) "WAP_IR=off disables" false
-    (Wap_engine.Config.default_ir ());
-  set "1";
-  Alcotest.(check bool) "WAP_IR=1 enables" true (Wap_engine.Config.default_ir ());
-  set "";
-  Alcotest.(check bool) "empty enables" true (Wap_engine.Config.default_ir ());
-  set (Option.value original ~default:"")
-
-let test_request_defaults () =
-  let original = Sys.getenv_opt "WAP_IR" in
-  Unix.putenv "WAP_IR" "0";
-  let req = Scan.request ~jobs:1 [ ("a.php", "<?php ?>") ] in
-  Alcotest.(check bool) "request honours WAP_IR=0" false req.Scan.ir;
-  let forced = Scan.request ~jobs:1 ~ir:true [ ("a.php", "<?php ?>") ] in
-  Alcotest.(check bool) "?ir overrides the environment" true forced.Scan.ir;
-  Unix.putenv "WAP_IR" (Option.value original ~default:"")
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "wap_ir"
@@ -207,15 +134,5 @@ let () =
             test_merged_packages_equiv;
           Alcotest.test_case "edge constructs, both paths" `Quick
             test_edge_constructs;
-        ] );
-      ( "dump",
-        [
-          Alcotest.test_case "text rendering" `Quick test_dump_text;
-          Alcotest.test_case "json rendering" `Quick test_dump_json;
-        ] );
-      ( "gate",
-        [
-          Alcotest.test_case "WAP_IR parsing" `Quick test_default_ir_env;
-          Alcotest.test_case "request defaults" `Quick test_request_defaults;
         ] );
     ]

@@ -30,8 +30,7 @@ let project () =
     ("main.php", main_php);
   ]
 
-(* [ir] resolves through {!Config} like any client, so the WAP_IR=0 CI
-   lane exercises these tests on the AST walker too. *)
+(* built like any client's request: one jobs-1 scan of every detector *)
 let request ?(jobs = 1) files = S.request ~jobs ~specs:(specs ()) files
 
 (* Record generation-tagged events; [analyzed ~gen] lists the paths
@@ -250,7 +249,7 @@ let test_diagnostics_partition_export () =
             c.Trace.file)
         (S.diagnostics s ~path:p))
     (S.paths s);
-  (* the finalized view is memoized per generation: repeated calls are
+  (* the finalized view is cached per generation: repeated calls are
      consistent *)
   Alcotest.(check int) "stable across calls" (List.length all)
     (List.length (S.all_diagnostics s));
