@@ -313,7 +313,8 @@ and exec_instr ctx env (i : Ir.instr) : Env.t =
   | Ir.Through { dst; src; name } ->
       tp.(dst) <- Env.map_origins (fun o -> Trace.add_through o name) tp.(src);
       env
-  | Ir.Assign_val { dst; rhs; prev; concat; lhs_e; rhs_e; loc } ->
+  | Ir.Assign_val { dst; rhs; prev; op; lhs_e; rhs_e; loc } ->
+      let concat = op = Ast.A_concat in
       let t_prev = match prev with None -> Env.clean | Some p -> tp.(p) in
       let t = Env.join_operands t_prev tp.(rhs) in
       let t =
@@ -327,7 +328,10 @@ and exec_instr ctx env (i : Ir.instr) : Env.t =
         | _ ->
             let step =
               { Trace.step_loc = loc;
-                step_desc = A.render_expr lhs_e ^ " = " ^ A.render_expr rhs_e }
+                step_desc =
+                  String.concat " "
+                    [ A.render_expr lhs_e; Printer.assign_sym op;
+                      A.render_expr rhs_e ] }
             in
             let rps = A.flatten_parts rhs_e in
             Env.map_origins

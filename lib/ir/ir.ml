@@ -107,7 +107,9 @@ type instr =
       dst : temp;
       rhs : temp;
       prev : temp option;  (** the lhs value for compound assignments *)
-      concat : bool;  (** [.=]: concat mark and qpart append *)
+      op : Ast.assign_op;
+          (** rendered into the step; [.=] also adds the concat mark
+              and appends qparts *)
       lhs_e : Ast.expr;  (** rendered into the step only on taint *)
       rhs_e : Ast.expr;
       loc : Loc.t;

@@ -386,11 +386,9 @@ and lower_assign st buf loc op (lhs : Ast.expr) (rhs : Ast.expr) : Ir.temp =
   let t_rhs = lx st buf rhs in
   (* compound assignment reads the lhs after the rhs *)
   let prev = match op with Ast.A_eq -> None | _ -> Some (lx st buf lhs) in
-  let concat = op = Ast.A_concat in
   let dst = fresh st in
   push buf
-    (Ir.Assign_val
-       { dst; rhs = t_rhs; prev; concat; lhs_e = lhs; rhs_e = rhs; loc });
+    (Ir.Assign_val { dst; rhs = t_rhs; prev; op; lhs_e = lhs; rhs_e = rhs; loc });
   (match lower_lvalue st lhs with
   | Ir.Lv_var { name; sg_ids } -> push buf (Ir.Store_var { src = dst; name; sg_ids })
   | Ir.Lv_index base -> push buf (Ir.Array_set { src = dst; base })

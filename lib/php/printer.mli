@@ -9,6 +9,10 @@
 (** Render an expression as PHP source. *)
 val expr_to_string : Ast.expr -> string
 
+(** The PHP spelling of an assignment operator: ["="], [".="],
+    ["+="], ... *)
+val assign_sym : Ast.assign_op -> string
+
 (** Render a statement as PHP source (no [<?php] header). *)
 val stmt_to_string : Ast.stmt -> string
 

@@ -823,7 +823,9 @@ and eval_assign ctx env loc op (lhs : Ast.expr) (rhs : Ast.expr) :
     | _ ->
         let step =
           { Trace.step_loc = loc;
-            step_desc = render_expr lhs ^ " = " ^ render_expr rhs }
+            step_desc =
+              String.concat " "
+                [ render_expr lhs; Printer.assign_sym op; render_expr rhs ] }
         in
         let rhs_parts = flatten_parts rhs in
         Env.map_origins

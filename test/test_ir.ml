@@ -109,6 +109,8 @@ let edge_programs =
        mysql_query($t . 9223372036854775807); ?>" );
     ( "ternary chain with guards",
       "<?php $v = isset($_GET['v']) ? $_GET['v'] : ''; echo $v ?: 'none'; ?>" );
+    ( "compound assignment steps",
+      "<?php $n = $_GET['n']; $n += 1; $n .= 'x'; echo $n; ?>" );
     ( "compound concat through loop",
       "<?php $s = ''; for ($i = 0; $i < 3; $i++) { $s .= $_GET['p']; } \
        echo $s; ?>" );

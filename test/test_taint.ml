@@ -43,6 +43,21 @@ let test_compound_concat () =
   Alcotest.(check int) ".= accumulates taint" 1
     (count "$q = 'SELECT * FROM t WHERE c = ';\n$q .= $_GET['c'];\nmysql_query($q);")
 
+(* a compound assignment's step keeps its operator: [$a .= 'y'] extends
+   the taint, it does not overwrite it *)
+let test_compound_step_text () =
+  let steps src =
+    List.map
+      (fun s -> s.Tr.step_desc)
+      (primary ~vclass:VC.Xss_reflected src).Tr.steps
+  in
+  Alcotest.(check (list string))
+    ".= step" [ "$a = $_GET['x']"; "$a .= 'y'" ]
+    (steps "$a = $_GET['x'];\n$a .= \"y\";\necho $a;");
+  Alcotest.(check (list string))
+    "+= step" [ "$n = $_GET['n']"; "$n += 1" ]
+    (steps "$n = $_GET['n'];\n$n += 1;\necho $n;")
+
 let test_clean_code_silent () =
   Alcotest.(check int) "literals are clean" 0
     (count "$q = 'SELECT 1';\nmysql_query($q);\necho 'hello';");
@@ -519,6 +534,8 @@ let () =
           Alcotest.test_case "interpolation" `Quick test_interpolation_flow;
           Alcotest.test_case "concatenation" `Quick test_concat_flow;
           Alcotest.test_case ".= accumulation" `Quick test_compound_concat;
+          Alcotest.test_case "compound step text" `Quick
+            test_compound_step_text;
           Alcotest.test_case "clean code silent" `Quick test_clean_code_silent;
           Alcotest.test_case "all class sinks" `Quick test_per_class_sinks;
           Alcotest.test_case "method sinks" `Quick test_method_sink;
