@@ -191,8 +191,8 @@ let print_scan_stats (outcome : Wap_core.Tool.Scan.outcome) =
       [ "worker domains"; string_of_int outcome.Wap_core.Tool.Scan.jobs_used ];
       [ "cache hits"; string_of_int outcome.Wap_core.Tool.Scan.cache_hits ];
       [ "cache misses"; string_of_int outcome.Wap_core.Tool.Scan.cache_misses ];
-      (* measured from when the batch was submitted, not a per-task
-         queueing latency *)
+      (* every item is enqueued at batch start; n/a at one worker
+         domain, where nothing queues *)
       [ "pool queue-wait mean from batch start (ms)";
         mean_ms (hist "engine.pool.queue_wait_seconds") ];
       [ "pool task-run mean (ms)"; mean_ms (hist "engine.pool.task_run_seconds") ];

@@ -1,8 +1,10 @@
 (** Domain-based worker pool over a mutex-protected deque. *)
 
 (* Queue wait is the time from pool start (every item is enqueued up
-   front) to the moment a worker dequeues the item; run time is the
-   application of [f] itself.  Striped atomics, so recording from every
+   front) to the moment a worker dequeues the item, recorded only when
+   workers share a queue: at [jobs = 1] there is none, and the time
+   since pool start would just be the run time of the earlier items.
+   Run time is the application of [f] itself.  Striped atomics, so recording from every
    worker domain is lock-free.  The handles are created eagerly: a
    [Lazy.t] first forced by two worker domains at once raises
    [CamlinternalLazy.Undefined]. *)
@@ -50,8 +52,9 @@ let map ?(jobs = Config.default_jobs ()) (f : 'a -> 'b) (xs : 'a array) :
   let t_start = Wap_obs.Clock.now_ns () in
   let timed_apply x =
     let t0 = Wap_obs.Clock.now_ns () in
-    Wap_obs.Metrics.observe m_queue_wait
-      (Wap_obs.Clock.ns_to_s (t0 - t_start));
+    if jobs > 1 then
+      Wap_obs.Metrics.observe m_queue_wait
+        (Wap_obs.Clock.ns_to_s (t0 - t_start));
     let y = f x in
     Wap_obs.Metrics.observe m_task_run
       (Wap_obs.Clock.ns_to_s (Wap_obs.Clock.elapsed_ns t0));

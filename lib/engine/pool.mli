@@ -6,10 +6,10 @@
     that of the input regardless of scheduling — the substrate the scan
     engine builds its deterministic merge on.
 
-    Every work item records its queue wait (pool start to dequeue) and
-    run time into the [engine.pool.*] histograms of
-    {!Wap_obs.Metrics.global}, which the CLI's [--stats] summary
-    reads. *)
+    Every work item records its run time, and when more than one
+    domain works the queue also its queue wait (pool start to dequeue),
+    into the [engine.pool.*] histograms of {!Wap_obs.Metrics.global},
+    which the CLI's [--stats] summary reads. *)
 
 (** [map ~jobs f xs] is [Array.map f xs] computed by [jobs] domains;
     [jobs] defaults to {!Config.default_jobs}[ ()].

@@ -66,6 +66,18 @@ let test_config_default_jobs () =
   Alcotest.(check bool) "restored >= 1" true
     (Wap_engine.Config.default_jobs () >= 1)
 
+(* queue wait is recorded only when workers share a queue: one sample
+   per item at jobs 2, none at jobs 1 *)
+let test_pool_queue_wait () =
+  let h = Wap_obs.Metrics.histogram "engine.pool.queue_wait_seconds" in
+  let count () = (Wap_obs.Metrics.hist_snapshot h).Wap_obs.Metrics.h_count in
+  let xs = Array.init 10 Fun.id in
+  let before = count () in
+  ignore (Pool.map ~jobs:1 succ xs);
+  Alcotest.(check int) "jobs 1 records no queue wait" before (count ());
+  ignore (Pool.map ~jobs:2 succ xs);
+  Alcotest.(check int) "jobs 2 records one per item" (before + 10) (count ())
+
 let test_pool_map_list_empty () =
   Alcotest.(check (list int)) "empty in, empty out" []
     (Pool.map_list ~jobs:4 (fun x -> x) [])
@@ -342,6 +354,8 @@ let () =
             test_pool_deterministic_failure;
           Alcotest.test_case "WAP_JOBS default" `Quick test_config_default_jobs;
           Alcotest.test_case "empty map_list" `Quick test_pool_map_list_empty;
+          Alcotest.test_case "queue wait only with workers" `Quick
+            test_pool_queue_wait;
         ] );
       ( "determinism",
         [
