@@ -4,10 +4,10 @@
    front) to the moment a worker dequeues the item, recorded only when
    workers share a queue: at [jobs = 1] there is none, and the time
    since pool start would just be the run time of the earlier items.
-   Run time is the application of [f] itself.  Striped atomics, so recording from every
-   worker domain is lock-free.  The handles are created eagerly: a
-   [Lazy.t] first forced by two worker domains at once raises
-   [CamlinternalLazy.Undefined]. *)
+   Run time is the application of [f] itself.  Striped atomics, so
+   recording from every worker domain is lock-free.  The handles are
+   created eagerly: a [Lazy.t] first forced by two worker domains at
+   once raises [CamlinternalLazy.Undefined]. *)
 let m_queue_wait = Wap_obs.Metrics.histogram "engine.pool.queue_wait_seconds"
 let m_task_run = Wap_obs.Metrics.histogram "engine.pool.task_run_seconds"
 let m_tasks = Wap_obs.Metrics.counter "engine.pool.tasks"

@@ -388,7 +388,8 @@ and lower_assign st buf loc op (lhs : Ast.expr) (rhs : Ast.expr) : Ir.temp =
   let prev = match op with Ast.A_eq -> None | _ -> Some (lx st buf lhs) in
   let dst = fresh st in
   push buf
-    (Ir.Assign_val { dst; rhs = t_rhs; prev; op; lhs_e = lhs; rhs_e = rhs; loc });
+    (Ir.Assign_val
+       { dst; rhs = t_rhs; prev; op; lhs_e = lhs; rhs_e = rhs; loc });
   (match lower_lvalue st lhs with
   | Ir.Lv_var { name; sg_ids } -> push buf (Ir.Store_var { src = dst; name; sg_ids })
   | Ir.Lv_index base -> push buf (Ir.Array_set { src = dst; base })

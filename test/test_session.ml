@@ -30,7 +30,6 @@ let project () =
     ("main.php", main_php);
   ]
 
-(* built like any client's request: one jobs-1 scan of every detector *)
 let request ?(jobs = 1) files = S.request ~jobs ~specs:(specs ()) files
 
 (* Record generation-tagged events; [analyzed ~gen] lists the paths
