@@ -203,6 +203,13 @@ let print_scan_stats (outcome : Wap_core.Tool.Scan.outcome) =
                 snap.Wap_obs.Metrics.counters)) ];
       [ "predictor train mean (ms)";
         mean_ms (hist "mining.predictor.train_seconds") ];
+      (* the largest the OCaml major heap has been in this process; the
+         resident set also counts code, stacks and C allocations *)
+      [ "peak major heap (MB)";
+        Printf.sprintf "%.1f"
+          (float_of_int
+             ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+          /. 1048576.0) ];
     ]
   in
   let t2 = Tbl.make ~title:"scan counters" ~header:[ "counter"; "value" ] counter_rows in
@@ -427,7 +434,7 @@ let analyze_cmd =
                 Printf.printf "        via %s: %s\n"
                   (Wap_php.Loc.to_string s.Wap_taint.Trace.step_loc)
                   s.Wap_taint.Trace.step_desc)
-              o.Wap_taint.Trace.steps;
+              (Wap_taint.Trace.steps_in_order o);
             Printf.printf "        symptoms: %s\n"
               (String.concat ", " f.Wap_core.Tool.symptoms)
           end)

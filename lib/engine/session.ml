@@ -20,9 +20,10 @@ module Trace = Wap_taint.Trace
 module Obs = Wap_obs.Trace
 module An = Wap_taint.Analyzer
 
-(* v4: the analysis digest no longer carries a pass-3 mode, so v3
-   entries (keyed with one) must not be reused. *)
-let cache_format_version = "wap-engine-4"
+(* v5: cached candidates and summaries store trace steps and query
+   parts newest-first, so v4 entries (oldest-first) must not be
+   reused. *)
+let cache_format_version = "wap-engine-5"
 
 (* Created at module initialisation, never lazily: the parse stage
    bumps them from pool workers, and forcing one [Lazy.t] from two

@@ -137,54 +137,9 @@ let join_all _ctx ~through ~ids taints =
 
 let apply_summary ctx loc (fs : Summary.fused) taints arg_exprs ~ids :
     Env.taint =
-  List.filter_map
-    (fun id ->
-      let s = Summary.for_spec fs id in
-      List.iter
-        (fun (ps : Summary.param_sink) ->
-          match List.assoc_opt ps.Summary.ps_index taints with
-          | Some tv -> (
-              match Env.find tv id with
-              | Some o ->
-                  let o =
-                    List.fold_left Trace.add_through o ps.Summary.ps_through
-                  in
-                  let o =
-                    Trace.add_step o
-                      {
-                        Trace.step_loc = loc;
-                        step_desc =
-                          Printf.sprintf "passed to %s()" s.Summary.fn_name;
-                      }
-                  in
-                  emit_one ctx ~id ~sink_name:ps.Summary.ps_sink_name
-                    ~loc:ps.Summary.ps_sink_loc ~args:arg_exprs
-                    ~tainted:[ (ps.Summary.ps_index, o) ]
-              | None -> ())
-          | None -> ())
-        s.Summary.param_sinks;
-      let ret =
-        List.fold_left
-          (fun acc (i, tv) ->
-            match (Env.find tv id, Summary.find_param_flow s i) with
-            | Some o, Some pf ->
-                let o = List.fold_left Trace.add_through o pf.Summary.pf_through in
-                let o = List.fold_left Trace.add_guard o pf.Summary.pf_guards in
-                let o = Trace.add_through o s.Summary.fn_name in
-                A.join_origin_operands acc o
-            | _ -> acc)
-          None taints
-      in
-      let ret =
-        match ret with
-        | None ->
-            Option.map
-              (fun (o : Trace.origin) -> { o with Trace.source_loc = loc })
-              s.Summary.returns_tainted
-        | some -> some
-      in
-      Option.map (fun o -> (id, o)) ret)
-    (ids_of ctx ids)
+  A.apply_summary_taints ~loc fs taints ~ids:(ids_of ctx ids)
+    ~emit:(fun ~id ~sink_name ~sink_loc ~tainted ->
+      emit_one ctx ~id ~sink_name ~loc:sink_loc ~args:arg_exprs ~tainted)
 
 let summary_or_join ctx loc name ~through taints arg_exprs ~ids =
   match ids with
@@ -337,14 +292,11 @@ and exec_instr ctx env (i : Ir.instr) : Env.t =
             Env.map_origins
               (fun o ->
                 let o = Trace.add_step o step in
-                let parts =
-                  if concat then o.Trace.parts @ rps
-                  else
-                    match rps with
-                    | [ Trace.Qdyn ] when o.Trace.parts <> [] -> o.Trace.parts
-                    | p -> p
-                in
-                Trace.with_parts o parts)
+                if concat then Trace.extend_parts o rps
+                else
+                  match rps with
+                  | [ Trace.Qdyn ] when o.Trace.parts <> [] -> o
+                  | p -> Trace.with_parts o p)
               t
       in
       tp.(dst) <- t;

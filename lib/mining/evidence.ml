@@ -131,7 +131,7 @@ let collect ?(dynamic : Symptom.dynamic_map = []) (c : Wap_taint.Trace.candidate
               (function
                 | Wap_taint.Trace.Qlit s -> Lit s
                 | Wap_taint.Trace.Qdyn -> Dyn)
-              o.Wap_taint.Trace.parts)
+              (Wap_taint.Trace.parts_in_order o))
           c.Wap_taint.Trace.origins
       in
       List.fold_left (fun acc s -> SS.add s acc)

@@ -400,16 +400,106 @@ let terminates_with_exit (stmts : Ast.stmt list) =
   | _ -> false
 
 (* Scalar operand-join of two origins (one spec's components). *)
-let join_origin_operands (acc : Trace.origin option) (o : Trace.origin) =
-  match acc with
-  | None -> Some o
-  | Some o1 ->
-      Some
-        {
-          o1 with
-          Trace.through = Trace.union_names o1.Trace.through o.Trace.through;
-          Trace.guards = Trace.union_names o1.Trace.guards o.Trace.guards;
-        }
+let join_origin_operands (o1 : Trace.origin) (o : Trace.origin) =
+  {
+    o1 with
+    Trace.through = Trace.union_names o1.Trace.through o.Trace.through;
+    Trace.guards = Trace.union_names o1.Trace.guards o.Trace.guards;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Summary application.                                                *)
+
+(* The specs of one call site usually share their argument origins
+   physically (see {!Env.map_origins}), and the per-spec summaries of one
+   function share their [through]/[guards] lists the same way.  Each
+   origin a call derives is therefore cached on the physical identity of
+   its inputs, so the specs keep sharing one result instead of each
+   copying the O(depth) [through] list of a call chain.  Keys are
+   compared with [==] only: a structural comparison would cost what the
+   cache saves.  [cached cache same key compute] returns the result
+   remembered under the first key [same] accepts, else [compute ()],
+   remembered under [key]. *)
+let cached cache same key compute =
+  match List.find_map (fun (k, r) -> if same k then Some r else None) !cache with
+  | Some r -> r
+  | None ->
+      let r = compute () in
+      cache := (key, r) :: !cache;
+      r
+
+let apply_summary_taints ~emit ~loc (fs : Summary.fused) taints ~ids :
+    Env.taint =
+  let sinks = ref [] and flows = ref [] and joins = ref [] and owns = ref [] in
+  (* the argument origin as it reaches a sink inside the callee *)
+  let at_sink (o : Trace.origin) through fn =
+    cached sinks
+      (fun (o', th, fn') -> o' == o && th == through && fn' == fn)
+      (o, through, fn)
+      (fun () ->
+        Trace.add_step
+          (List.fold_left Trace.add_through o through)
+          { Trace.step_loc = loc;
+            step_desc = Printf.sprintf "passed to %s()" fn })
+  in
+  (* the argument origin as it comes back in the return value *)
+  let returned (o : Trace.origin) (pf : Summary.param_flow) fn =
+    let th = pf.Summary.pf_through and gu = pf.Summary.pf_guards in
+    cached flows
+      (fun (o', th', gu', fn') -> o' == o && th' == th && gu' == gu && fn' == fn)
+      (o, th, gu, fn)
+      (fun () ->
+        let o = List.fold_left Trace.add_through o th in
+        Trace.add_through (List.fold_left Trace.add_guard o gu) fn)
+  in
+  let join acc o =
+    match acc with
+    | None -> Some o
+    | Some o1 ->
+        Some
+          (cached joins
+             (fun (a, b) -> a == o1 && b == o)
+             (o1, o)
+             (fun () -> join_origin_operands o1 o))
+  in
+  (* the callee's own tainted return, located at the call *)
+  let own (o : Trace.origin) =
+    cached owns (fun o' -> o' == o) o (fun () -> { o with Trace.source_loc = loc })
+  in
+  List.filter_map
+    (fun id ->
+      let s = Summary.for_spec fs id in
+      (* interprocedural sinks: a tainted argument reaching a sink inside *)
+      List.iter
+        (fun (ps : Summary.param_sink) ->
+          match List.assoc_opt ps.Summary.ps_index taints with
+          | Some tv -> (
+              match Env.find tv id with
+              | Some o ->
+                  emit ~id ~sink_name:ps.Summary.ps_sink_name
+                    ~sink_loc:ps.Summary.ps_sink_loc
+                    ~tainted:
+                      [ ( ps.Summary.ps_index,
+                          at_sink o ps.Summary.ps_through s.Summary.fn_name ) ]
+              | None -> ())
+          | None -> ())
+        s.Summary.param_sinks;
+      (* return taint *)
+      let ret =
+        List.fold_left
+          (fun acc (i, tv) ->
+            match (Env.find tv id, Summary.find_param_flow s i) with
+            | Some o, Some pf -> join acc (returned o pf s.Summary.fn_name)
+            | _ -> acc)
+          None taints
+      in
+      let ret =
+        match ret with
+        | None -> Option.map own s.Summary.returns_tainted
+        | some -> some
+      in
+      Option.map (fun o -> (id, o)) ret)
+    ids
 
 let rec eval ctx env (e : Ast.expr) : Env.taint * Env.t =
   match e.e with
@@ -748,56 +838,9 @@ and eval_call ctx env loc (callee : Ast.callee) (args : Ast.arg list) :
 
 and apply_summary ctx _env loc (fs : Summary.fused) taints arg_exprs ~ids :
     Env.taint =
-  List.filter_map
-    (fun id ->
-      let s = Summary.for_spec fs id in
-      (* interprocedural sinks: a tainted argument reaching a sink inside *)
-      List.iter
-        (fun (ps : Summary.param_sink) ->
-          match List.assoc_opt ps.Summary.ps_index taints with
-          | Some tv -> (
-              match Env.find tv id with
-              | Some o ->
-                  let o =
-                    List.fold_left Trace.add_through o ps.Summary.ps_through
-                  in
-                  let o =
-                    Trace.add_step o
-                      {
-                        Trace.step_loc = loc;
-                        step_desc =
-                          Printf.sprintf "passed to %s()" s.Summary.fn_name;
-                      }
-                  in
-                  emit_one ctx ~id ~sink_name:ps.Summary.ps_sink_name
-                    ~loc:ps.Summary.ps_sink_loc ~args:arg_exprs
-                    ~tainted:[ (ps.Summary.ps_index, o) ]
-              | None -> ())
-          | None -> ())
-        s.Summary.param_sinks;
-      (* return taint *)
-      let ret =
-        List.fold_left
-          (fun acc (i, tv) ->
-            match (Env.find tv id, Summary.find_param_flow s i) with
-            | Some o, Some pf ->
-                let o = List.fold_left Trace.add_through o pf.Summary.pf_through in
-                let o = List.fold_left Trace.add_guard o pf.Summary.pf_guards in
-                let o = Trace.add_through o s.Summary.fn_name in
-                join_origin_operands acc o
-            | _ -> acc)
-          None taints
-      in
-      let ret =
-        match ret with
-        | None ->
-            Option.map
-              (fun (o : Trace.origin) -> { o with Trace.source_loc = loc })
-              s.Summary.returns_tainted
-        | some -> some
-      in
-      Option.map (fun o -> (id, o)) ret)
-    ids
+  apply_summary_taints ~loc fs taints ~ids
+    ~emit:(fun ~id ~sink_name ~sink_loc ~tainted ->
+      emit_one ctx ~id ~sink_name ~loc:sink_loc ~args:arg_exprs ~tainted)
 
 (* ------------------------------------------------------------------ *)
 (* Assignment.                                                         *)
@@ -835,15 +878,12 @@ and eval_assign ctx env loc op (lhs : Ast.expr) (rhs : Ast.expr) :
                it; an opaque right-hand side (e.g. a sprintf call that
                already recorded its format) keeps the structure gathered
                so far *)
-            let parts =
-              match op with
-              | Ast.A_concat -> o.Trace.parts @ rhs_parts
-              | _ -> (
-                  match rhs_parts with
-                  | [ Trace.Qdyn ] when o.Trace.parts <> [] -> o.Trace.parts
-                  | p -> p)
-            in
-            Trace.with_parts o parts)
+            match op with
+            | Ast.A_concat -> Trace.extend_parts o rhs_parts
+            | _ -> (
+                match rhs_parts with
+                | [ Trace.Qdyn ] when o.Trace.parts <> [] -> o
+                | p -> Trace.with_parts o p))
           t
   in
   let env = assign_to ctx env lhs t in

@@ -22,8 +22,9 @@ val is_guard_fn : string -> bool
 
     The pure, syntactic helpers of the AST walker, exported so the IR
     lowering ({!Wap_ir}) resolves the very same renderings, guard keys
-    and structural facts at lowering time.  The engine runs only the
-    walker; the IR is a test and benchmark-replay reference whose
+    and structural facts at lowering time, and the walker's summary
+    application, which the IR executor calls as is.  The engine runs
+    only the walker; the IR is a test and benchmark-replay reference whose
     candidates must match the walker's exactly ([scan-ir-equiv]), and a
     private copy in the IR would be a drift hazard for that contract. *)
 
@@ -70,9 +71,20 @@ val candidate_key :
   id:int -> file:string -> sink_name:string -> loc:Loc.t ->
   sources:string list -> string
 
-(** Scalar operand-join of two origins (one spec's components). *)
-val join_origin_operands :
-  Trace.origin option -> Trace.origin -> Trace.origin option
+(** [apply_summary_taints ~emit ~loc fs taints ~ids]: a call at [loc]
+    to the function summarized by [fs], with argument taints [taints]
+    (position, vector), for the specs [ids].  Reports each tainted
+    argument that reaches a sink inside the callee through [emit] (spec
+    by spec, in [ids] order) and returns the call's result taint.
+    Specs whose argument origins are physically shared get physically
+    shared result origins, so the cost of a call does not grow with the
+    number of specs. *)
+val apply_summary_taints :
+  emit:
+    (id:int -> sink_name:string -> sink_loc:Loc.t ->
+     tainted:(int * Trace.origin) list -> unit) ->
+  loc:Loc.t -> Summary.fused -> (int * Env.taint) list -> ids:int list ->
+  Env.taint
 
 (** One parsed source file of an application. *)
 type file_unit = { path : string; program : Ast.program }

@@ -24,7 +24,9 @@ type qpart = Qlit of string | Qdyn [@@deriving show, eq]
 type origin = {
   source : string;  (** e.g. ["$_GET['user']"] or ["mysql_fetch_assoc"] *)
   source_loc : Loc.t;
-  steps : step list;  (** propagation chain, oldest first *)
+  steps : step list;
+      (** propagation chain, {e newest first} so {!add_step} is O(1);
+          read it in source order with {!steps_in_order} *)
   through : string list;
       (** names of functions applied to the data on its way (lowercase);
           casts appear as ["(int)"] etc. *)
@@ -32,16 +34,23 @@ type origin = {
       (** validation predicates observed guarding the flow, e.g.
           ["is_numeric"], ["isset"], ["preg_match"] *)
   parts : qpart list;
-      (** structure of the latest string built from the data (see {!qpart}) *)
+      (** structure of the latest string built from the data (see
+          {!qpart}), {e newest first} so a [.=] extends it in O(|rhs|);
+          read it in source order with {!parts_in_order} *)
 }
 [@@deriving show, eq]
 
 let origin ~source ~source_loc =
   { source; source_loc; steps = []; through = []; guards = []; parts = [] }
 
-let with_parts o parts = { o with parts }
-
-let add_step o step = { o with steps = o.steps @ [ step ] }
+(* [steps] and [parts] are stored reversed: a flow of n statements (or
+   n [.=] appends) then costs O(n) in total instead of O(n^2), and the
+   tails stay shared between the origins of one flow. *)
+let with_parts o parts = { o with parts = List.rev parts }
+let extend_parts o parts = { o with parts = List.rev_append parts o.parts }
+let add_step o step = { o with steps = step :: o.steps }
+let steps_in_order o = List.rev o.steps
+let parts_in_order o = List.rev o.parts
 let add_through o fname = { o with through = fname :: o.through }
 let add_guard o g = if List.mem g o.guards then o else { o with guards = g :: o.guards }
 
@@ -132,7 +141,7 @@ let summary c =
 let dedup_key c =
   let o = primary c in
   let path_sig =
-    match List.rev o.steps with
+    match o.steps with
     | last :: _ -> Printf.sprintf "%s:%d" last.step_loc.Loc.file last.step_loc.Loc.line
     | [] -> ""
   in

@@ -24,7 +24,9 @@ type qpart = Qlit of string | Qdyn [@@deriving show, eq]
 type origin = {
   source : string;  (** e.g. ["$_GET['user']"] or ["mysql_fetch_assoc"] *)
   source_loc : Loc.t;
-  steps : step list;  (** propagation chain, oldest first *)
+  steps : step list;
+      (** propagation chain, {e newest first} so {!add_step} is O(1);
+          read it in source order with {!steps_in_order} *)
   through : string list;
       (** names of functions applied to the data on its way (lowercase);
           casts appear as ["(int)"] etc. *)
@@ -32,13 +34,31 @@ type origin = {
       (** validation predicates observed guarding the flow, e.g.
           ["is_numeric"], ["isset"], ["preg_match"] *)
   parts : qpart list;
-      (** structure of the latest string built from the data *)
+      (** structure of the latest string built from the data, {e newest
+          first} so a [.=] extends it in O(|rhs|); read it in source
+          order with {!parts_in_order} *)
 }
 [@@deriving show, eq]
 
 val origin : source:string -> source_loc:Loc.t -> origin
+
+(** [with_parts o parts]: [o] with its string structure replaced by
+    [parts], given in source order. *)
 val with_parts : origin -> qpart list -> origin
+
+(** [extend_parts o parts]: [o] with [parts] (source order) appended to
+    its string structure — the [.=] accumulation, O(|parts|). *)
+val extend_parts : origin -> qpart list -> origin
+
+(** Append one propagation step, O(1). *)
 val add_step : origin -> step -> origin
+
+(** The propagation chain oldest first, as it is reported. *)
+val steps_in_order : origin -> step list
+
+(** The string structure in source order. *)
+val parts_in_order : origin -> qpart list
+
 val add_through : origin -> string -> origin
 val add_guard : origin -> string -> origin
 

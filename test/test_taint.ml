@@ -29,7 +29,8 @@ let test_direct_flow () =
 let test_variable_chain () =
   let c = first "$a = $_POST['x'];\n$b = $a;\n$c = $b;\nmysql_query($c);" in
   Alcotest.(check string) "source" "$_POST['x']" (Tr.primary c).Tr.source;
-  Alcotest.(check int) "steps recorded" 3 (List.length (Tr.primary c).Tr.steps)
+  Alcotest.(check int) "steps recorded" 3
+    (List.length (Tr.steps_in_order (Tr.primary c)))
 
 let test_interpolation_flow () =
   Alcotest.(check int) "interp taints query" 1
@@ -49,7 +50,7 @@ let test_compound_step_text () =
   let steps src =
     List.map
       (fun s -> s.Tr.step_desc)
-      (primary ~vclass:VC.Xss_reflected src).Tr.steps
+      (Tr.steps_in_order (primary ~vclass:VC.Xss_reflected src))
   in
   Alcotest.(check (list string))
     ".= step" [ "$a = $_GET['x']"; "$a .= 'y'" ]
@@ -114,7 +115,8 @@ let test_sprintf_flow () =
   let o = Tr.primary c in
   Alcotest.(check bool) "through sprintf" true (List.mem "sprintf" o.Tr.through);
   let lits =
-    List.filter_map (function Tr.Qlit s -> Some s | Tr.Qdyn -> None) o.Tr.parts
+    List.filter_map (function Tr.Qlit s -> Some s | Tr.Qdyn -> None)
+      (Tr.parts_in_order o)
   in
   Alcotest.(check bool) "format captured" true
     (List.exists (fun s -> s = "SELECT name FROM users WHERE id = ") lits);
@@ -229,7 +231,8 @@ let test_query_parts_recorded () =
       "$v = $_GET['v'];\n$q = \"SELECT name FROM users WHERE id = \" . $v;\nmysql_query($q);"
   in
   let lits =
-    List.filter_map (function Tr.Qlit s -> Some s | Tr.Qdyn -> None) o.Tr.parts
+    List.filter_map (function Tr.Qlit s -> Some s | Tr.Qdyn -> None)
+      (Tr.parts_in_order o)
   in
   Alcotest.(check bool) "query text captured" true
     (List.exists (fun s -> s = "SELECT name FROM users WHERE id = ") lits)
@@ -466,6 +469,93 @@ let test_determinism () =
   in
   Alcotest.(check (list string)) "same results twice" (run ()) (run ())
 
+(* ------------------------------------------------------------------ *)
+(* Cost and trace order.                                               *)
+
+(* A callee-first return chain f1 -> ... -> fn, as perfbench's long-flow
+   workload generates it. *)
+let chain_source n =
+  let b = Buffer.create (n * 64) in
+  Buffer.add_string b "<?php\n";
+  for i = n downto 1 do
+    if i = n then Printf.bprintf b "function f%d($x) { return $x; }\n" i
+    else
+      Printf.bprintf b "function f%d($x) { $v = $x; return f%d($v); }\n" i
+        (i + 1)
+  done;
+  Buffer.add_string b "echo f1($_GET['q']);\n";
+  Buffer.contents b
+
+(* The fused pass keeps one origin shared by all spec components, through
+   summary calls too, so 17 specs cost about what one does.  Allocation
+   pins it where time could not: it does not depend on the host.  A
+   spec-by-spec rebuild of the chain's O(depth) [through] lists gives a
+   ratio near the spec count. *)
+let test_chain_cost_spec_independent () =
+  let file = "chain.php" in
+  let units =
+    [ { An.path = file;
+        program = Wap_php.Parser.parse_string ~file (chain_source 400) } ]
+  in
+  let words specs =
+    let before = Gc.minor_words () in
+    let found = An.analyze_project_indexed ~specs units in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "chain flow found" true (found <> []);
+    words
+  in
+  let all = Cat.specs_for VC.all_builtin in
+  Alcotest.(check int) "all builtin specs" 17 (List.length all);
+  let one = words [ Cat.default_spec VC.Xss_reflected ] in
+  let ratio = words all /. one in
+  if ratio > 4.0 then
+    Alcotest.failf "17 specs allocate %.2fx what one spec does (limit 4)"
+      ratio
+
+(* Steps and query parts are stored newest first; every reader must still
+   see them oldest first. *)
+let test_trace_order () =
+  let c =
+    first
+      "$a = $_GET['id'];\n$b = $a;\n$c = $b;\n\
+       $q = \"SELECT name FROM users WHERE id = \" . $c;\n\
+       $q .= \" ORDER BY name\";\n$q .= \" LIMIT 10\";\nmysql_query($q);"
+  in
+  let o = Tr.primary c in
+  let module J = Wap_report.Json in
+  let codes =
+    match Wap_core.Export.origin_to_json o with
+    | J.Obj fields -> (
+        match List.assoc_opt "steps" fields with
+        | Some (J.List steps) ->
+            List.filter_map
+              (function
+                | J.Obj s -> (
+                    match List.assoc_opt "code" s with
+                    | Some (J.Str code) -> Some code
+                    | _ -> None)
+                | _ -> None)
+              steps
+        | _ -> [])
+    | _ -> []
+  in
+  Alcotest.(check (list string))
+    "exported steps, oldest first"
+    [ "$a = $_GET['id']"; "$b = $a"; "$c = $b";
+      "$q = 'SELECT name FROM users WHERE id = ' . $c";
+      "$q .= ' ORDER BY name'"; "$q .= ' LIMIT 10'" ]
+    codes;
+  Alcotest.(check (list string))
+    "query parts, oldest first"
+    [ "SELECT name FROM users WHERE id = "; "<dyn>"; " ORDER BY name";
+      " LIMIT 10" ]
+    (List.map
+       (function Tr.Qlit s -> s | Tr.Qdyn -> "<dyn>")
+       (Tr.parts_in_order o));
+  (* the numeric position is seen only when "id = " precedes the hole *)
+  Alcotest.(check bool) "is_num" true
+    (Wap_mining.Evidence.mem "is_num" (Wap_mining.Evidence.collect c))
+
 let qcheck_sanitizer_monotone =
   (* registering an extra sanitizer never increases the candidate count *)
   QCheck.Test.make ~name:"extra sanitizer is monotone" ~count:50
@@ -607,6 +697,13 @@ let () =
           Alcotest.test_case "loop dedup" `Quick test_candidate_dedup_same_sink;
           Alcotest.test_case "dedup key groups" `Quick test_dedup_key_groups;
           Alcotest.test_case "deterministic" `Quick test_determinism;
+        ] );
+      ( "cost & order",
+        [
+          Alcotest.test_case "chain cost independent of spec count" `Quick
+            test_chain_cost_spec_independent;
+          Alcotest.test_case "steps and parts oldest first" `Quick
+            test_trace_order;
         ] );
       ( "properties",
         [ qt qcheck_sanitizer_monotone; qt qcheck_seeded_real_detected;
